@@ -135,6 +135,26 @@ class TestContentDigest:
         g = Graph(edges=[(0, 1), (1, 2), ("x", "y")])
         assert g.copy().content_digest() == g.content_digest()
 
+    def test_pinned_hex_digest(self):
+        # Persisted state dirs and the service caches are keyed by this
+        # digest, so its exact value must never drift.  The labels mix
+        # ints and strs, include labels that are prefixes of one another
+        # (1/12/123, "a"/"ab"/"abc"), a non-ASCII label, isolated vertices
+        # and a tuple label.
+        g = Graph(edges=[
+            (1, 12), (12, "a"), ("a", "ab"), ("ab", 1), (2, "b"), (12, 123),
+            ("ab", "abc"), (1, "a"), (-3, "x y"), ("é", 0),
+        ])
+        g.add_vertex(7)
+        g.add_vertex("7")
+        g.add_vertex(("t", 1))
+        assert g.content_digest() == (
+            "a856e8f5061ac36dc70e9b2d4e2dfb9c65b8d31691bd5f4f42c2f046c0eae2e1"
+        )
+        assert Graph().content_digest() == (
+            "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a"
+        )
+
 
 class TestVertexOperations:
     def test_add_vertex_idempotent(self):
