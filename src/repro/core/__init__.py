@@ -18,7 +18,7 @@ from .bounds import (
 from .branching import select_branching_vertex
 from .checkpoint import SolveCheckpoint, checkpoint_meta
 from .config import BACKEND_NAMES, ENGINE_NAMES, VARIANT_NAMES, SolverConfig, variant_config
-from .decompose import build_ego_subproblem, solve_decomposed
+from .decompose import EgoView, build_ego_subproblem, solve_decomposed
 from .parallel import solve_decomposed_parallel
 from .fastpath import (
     BitsetEngine,
@@ -89,6 +89,7 @@ __all__ = [
     "solve_decomposed",
     "solve_decomposed_parallel",
     "build_ego_subproblem",
+    "EgoView",
     "SolveCheckpoint",
     "checkpoint_meta",
     "select_branching_vertex",

@@ -4,55 +4,109 @@ Instead of branching on the whole (reduced) input graph, large sparse graphs
 are split into one small *ego subproblem* per vertex, following the way the
 paper's implementation scales to million-edge SNAP/DIMACS10 inputs:
 
-1. compute a degeneracy ordering ``v_1, ..., v_n`` (reusing
-   :func:`repro.graphs.degeneracy.degeneracy_ordering`);
+1. fix a total order ``v_1, ..., v_n`` of the vertices.  The solver uses a
+   degeneracy ordering (:func:`repro.graphs.degeneracy.degeneracy_ordering`),
+   which bounds ``|N⁺(v)|`` by the degeneracy, but every argument below holds
+   for *any* total order — the incremental solver keeps its parent epoch's
+   order across edge deltas;
 2. for each vertex ``v``, solve for the best solution that contains ``v`` as
    its *lowest-ranked* vertex.  Such a solution lives inside ``{v} ∪ N⁺(v) ∪
-   N(N⁺(v))`` restricted to higher-ranked vertices, so the subproblem width
-   is bounded by roughly ``degeneracy + k`` after filtering;
-3. thread one shared incumbent through every subproblem: each engine run
-   starts from the current global lower bound, so RR5/UB pruning kills most
-   subproblems before any branching happens.
+   N(N⁺(v))`` restricted to higher-ranked vertices;
+3. thread one shared incumbent through every subproblem: an anchor only has
+   to look for a solution of size ``t = lb + 1`` that beats the current
+   global lower bound ``lb``, so the filters below reject most anchors before
+   any bitset row is packed, and the engine starts the rest from ``lb``.
 
-Safety of the candidate restriction rests on the diameter-2 property of
-k-defective cliques [Chen et al. 2021]: any k-defective clique ``S`` with
-``|S| >= k + 2`` is connected with diameter at most 2, hence every
-``u ∈ S \\ {v}`` non-adjacent to ``v`` has a common neighbour with ``v``
-*inside* ``S`` — and that witness is a higher-ranked neighbour of ``v``.
-Moreover ``u`` and ``v`` each waste at most ``k - 1`` further missing edges
-inside ``S``, so ``u`` must have at least ``|S| - 2k`` common neighbours with
-``v``; both facts prune the two-hop candidate set.
+Let ``S`` be a k-defective clique of size ``t >= k + 2`` whose lowest-ranked
+vertex is ``v`` (any larger solution anchored at ``v`` contains one, since
+dropping vertices keeps a k-defective clique), and ``L`` the local graph the
+builder keeps.  Each filter is a necessary condition for such an ``S``, so
+none of them changes an answer:
+
+* **Size cap.**  Each non-neighbour of ``v`` in ``S`` costs a missing edge,
+  so ``t <= 1 + |N⁺(v)| + k``.
+* **Two-hop threshold.**  A non-neighbour ``u ∈ S`` of ``v`` has at least
+  ``t - 1 - k`` common neighbours with ``v`` in ``S``, all of them in
+  ``N⁺(v)``: the pair ``uv`` is one missing edge and every other vertex of
+  ``S`` not adjacent to both costs another, so at most ``k - 1`` of the
+  ``t - 2`` others are not common neighbours.  As ``t - 1 - k >= 1`` this
+  contains the diameter-2 property of k-defective cliques [Chen et al. 2021].
+* **Cycle rank.**  ``L`` is connected (every local vertex reaches ``v`` in
+  two hops) and so is ``G[S]`` (diameter 2), which has at least
+  ``C(t, 2) - k`` edges.  The cycle rank ``|E| - |V| + 1`` of a connected
+  subgraph never exceeds that of the connected graph around it, so
+  ``|E_L| - |V_L| >= C(t, 2) - k - t``.
+* **Degree deficit.**  A vertex ``u ∈ S`` misses at least
+  ``max(0, t - 1 - deg_L(u))`` edges inside ``S``, and the missing edges of
+  ``S`` counted at both ends sum to at most ``2k``.  So the deficit of ``v``
+  plus the ``t - 1`` smallest deficits of the other local vertices is at
+  most ``2k``.
 
 The driver therefore only searches for solutions of size ``>= lb + 1`` where
 ``lb >= k + 1`` (so ``lb + 1 >= k + 2``).  Callers must fall back to the
 whole-graph solve when the incumbent is smaller than ``k + 1`` —
 ``repro.core.solver`` does exactly that.
 
+The filters and the build work in rank space (:class:`EgoView`): vertex ids
+are positions in the order, so ``N⁺(v)`` and each two-hop list are slices of
+sorted neighbour tuples and local degrees are frozenset intersections — set
+and slice operations, not Python loops over the neighbour lists of hubs.
+
 The subproblems are independent once the incumbent bound is shared, which is
 what makes them embarrassingly parallel: :mod:`repro.core.parallel` reuses
-:func:`build_ego_subproblem` to run the same decomposition across a
+:func:`solve_anchor` to run the same decomposition across a
 ``multiprocessing`` worker pool.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from bisect import bisect_right
+from collections import Counter
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .checkpoint import SolveCheckpoint
 
-from ..graphs.degeneracy import degeneracy_ordering
-from ..graphs.graph import Graph
 from .config import SolverConfig
 from .fastpath import BitsetEngine
 from .result import SearchStats
 
-__all__ = ["build_ego_subproblem", "solve_anchor", "solve_decomposed"]
+__all__ = ["EgoView", "build_ego_subproblem", "solve_anchor", "solve_decomposed"]
+
+
+class EgoView:
+    """Rank-space adjacency of an instance graph under a total vertex order.
+
+    Vertex ``ordering[r]`` has id ``r``; ``rows[r]`` is the sorted tuple of
+    its neighbours' ids and ``sets[r]`` the same ids as a frozenset.  Built
+    once per solve (a :class:`~repro.core.prepared.PreparedInstance` caches
+    it) and read-only afterwards.
+    """
+
+    __slots__ = ("ordering", "position", "rows", "sets")
+
+    def __init__(self, ordering: Sequence[int], rows: Sequence[Tuple[int, ...]]) -> None:
+        self.ordering: Tuple[int, ...] = tuple(ordering)
+        self.position: Dict[int, int] = {v: r for r, v in enumerate(self.ordering)}
+        self.rows: Sequence[Tuple[int, ...]] = rows
+        self.sets: Tuple[FrozenSet[int], ...] = tuple(map(frozenset, rows))
+
+    @classmethod
+    def of(cls, neighbors: Callable[[int], Sequence[int]], ordering: Sequence[int]) -> "EgoView":
+        """View of the graph behind ``neighbors`` under ``ordering``."""
+        rank = {v: r for r, v in enumerate(ordering)}.__getitem__
+        rows = tuple(tuple(sorted(map(rank, neighbors(v)))) for v in ordering)
+        return cls(ordering, rows)
+
+    def neighbors(self, v: int) -> List[int]:
+        """Neighbours of instance vertex ``v``, as instance vertex ids."""
+        ordering = self.ordering
+        return [ordering[u] for u in self.rows[self.position[v]]]
 
 
 def solve_anchor(
-    neighbors: Callable[[int], Sequence[int]],
-    position: Mapping[int, int],
+    view: EgoView,
     v: int,
     k: int,
     config: SolverConfig,
@@ -63,15 +117,13 @@ def solve_anchor(
     """Build and exactly solve the ego subproblem anchored at ``v``.
 
     The shared per-anchor body of the sequential driver and the parallel
-    driver's lost-worker recovery loop: prunes via
-    :func:`build_ego_subproblem`'s size cap (counted in
-    ``stats.subproblems_pruned``) or runs one engine search (counted in
-    ``stats.subproblems``), growing ``incumbent`` in place.  Each subproblem
-    search runs the engine selected by ``config.engine`` — the trail
-    (undo-stack) engine by default — so worker processes and the sequential
-    driver branch with the same per-node cost profile.
+    driver's workers and lost-worker recovery loop: an anchor rejected by
+    :func:`build_ego_subproblem` counts in ``stats.subproblems_pruned``,
+    any other runs one engine search (counted in ``stats.subproblems``) —
+    the engine selected by ``config.engine`` — growing ``incumbent`` in
+    place.
     """
-    sub = build_ego_subproblem(neighbors, position, v, len(incumbent), k)
+    sub = build_ego_subproblem(view, v, len(incumbent), k, stats)
     if sub is None:
         stats.subproblems_pruned += 1
         return
@@ -82,92 +134,106 @@ def solve_anchor(
 
 
 def build_ego_subproblem(
-    neighbors: Callable[[int], Sequence[int]],
-    position: Mapping[int, int],
+    view: EgoView,
     v: int,
     lower_bound: int,
     k: int,
+    stats: Optional[SearchStats] = None,
 ) -> Optional[Tuple[List[int], List[int]]]:
     """Build the ego subproblem anchored at ``v``, or ``None`` if it cannot win.
 
+    A pure function of the graph and order behind ``view``, ``v``,
+    ``lower_bound`` and ``k``: nothing is carried from one anchor to the
+    next, so anchors may be built in any order or skipped.
+
     Parameters
     ----------
-    neighbors:
-        Adjacency accessor over the instance graph (``neighbors(u)`` yields
-        the neighbours of ``u``); vertices are integer ids with an entry in
-        ``position``.
-    position:
-        Vertex -> rank in the degeneracy ordering.
+    view:
+        Rank-space view of the instance graph under any total order.
     v:
-        Anchor vertex; the subproblem searches solutions containing ``v`` as
-        their lowest-ranked vertex.
+        Anchor (instance vertex id); the subproblem searches solutions
+        containing ``v`` as their lowest-ranked vertex.
     lower_bound:
         Current incumbent size (``>= k + 1``, see module docstring); only
         solutions of size ``>= lower_bound + 1`` are searched for.
     k:
         Defectiveness parameter.
+    stats:
+        When given, a rejection by the cycle-rank or the degree-deficit
+        filter is counted in ``subproblems_pruned_cycle_rank`` or
+        ``subproblems_pruned_deficit``.
 
     Returns
     -------
     ``(local_vertices, adj_bits)`` where ``local_vertices[0] == v`` maps
     local ids back to instance ids and ``adj_bits`` is the packed local
-    adjacency — or ``None`` when the incumbent size cap already proves no
+    adjacency — or ``None`` when a filter of the module docstring proves no
     solution anchored at ``v`` can beat ``lower_bound``.
     """
-    pos_v = position[v]
-    higher = [u for u in neighbors(v) if position[u] > pos_v]
-    # A solution with v lowest-ranked has at most 1 + |N⁺(v)| + k vertices
-    # (each of the <= k non-neighbours of v costs one of the k missing
-    # edges), so small ego nets cannot beat the incumbent.
-    if 1 + len(higher) + k <= lower_bound:
+    r = view.position[v]
+    rows = view.rows
+    row = rows[r]
+    plus = row[bisect_right(row, r):]
+    if 1 + len(plus) + k <= lower_bound:  # size cap
         return None
 
     target = lower_bound + 1
-    higher_set = set(higher)
-    # Two-hop candidates: higher-ranked non-neighbours of v reachable
-    # through N⁺(v), filtered by the common-neighbour lower bound
-    # |N(u) ∩ N(v) ∩ S| >= target - 2k (diameter-2 argument above).
-    cn_count: Dict[int, int] = {}
-    for w in higher:
-        for u in neighbors(w):
-            if u != v and u not in higher_set and position[u] > pos_v:
-                cn_count[u] = cn_count.get(u, 0) + 1
-    cn_threshold = max(1, target - 2 * k)
-    two_hop = [u for u, c in cn_count.items() if c >= cn_threshold]
+    # Two-hop threshold; counts[u] = |N(u) ∩ N⁺(v)| for higher-ranked u.
+    counts = Counter(chain.from_iterable(
+        [rows[w][bisect_right(rows[w], r):] for w in plus]
+    ))
+    threshold = target - 1 - k
+    two_hop = [u for u in counts.keys() - set(plus) if counts[u] >= threshold]
+    local = [r, *plus, *two_hop]
+    width = len(local)
+    if width < target:  # too few candidates left after the threshold
+        return None
 
-    local_vertices = [v] + higher + two_hop
-    local_index = {u: i for i, u in enumerate(local_vertices)}
-    width = len(local_vertices)
-    adj_bits = [0] * width
-    for u, i in local_index.items():
-        row = 0
-        for w in neighbors(u):
-            j = local_index.get(w)
-            if j is not None:
-                row |= 1 << j
-        adj_bits[i] = row
-    return local_vertices, adj_bits
+    local_set = set(local)
+    sets = view.sets
+    local_nbrs = [sets[u] & local_set for u in local]
+    degrees = list(map(len, local_nbrs))
+    # Cycle rank, then degree deficit (module docstring).
+    if sum(degrees) // 2 - width < target * (target - 1) // 2 - k - target:
+        if stats is not None:
+            stats.subproblems_pruned_cycle_rank += 1
+        return None
+    need = target - 1
+    deficits = [need - d if d < need else 0 for d in degrees]
+    if deficits[0] + sum(sorted(deficits[1:])[:need]) > 2 * k:
+        if stats is not None:
+            stats.subproblems_pruned_deficit += 1
+        return None
+
+    index = {u: i for i, u in enumerate(local)}
+    adj_bits = []
+    for nbrs in local_nbrs:
+        bits = 0
+        for w in nbrs:
+            bits |= 1 << index[w]
+        adj_bits.append(bits)
+    ordering = view.ordering
+    return [ordering[u] for u in local], adj_bits
 
 
 def solve_decomposed(
-    working: Optional[Graph],
+    view: EgoView,
     k: int,
     config: SolverConfig,
     stats: SearchStats,
     check_budget: Callable[[], None],
     incumbent: List[int],
-    adj: Optional[Mapping[int, Sequence[int]]] = None,
-    decomposition: Optional[Tuple[Sequence[int], Mapping[int, int]]] = None,
     checkpoint: Optional["SolveCheckpoint"] = None,
 ) -> None:
-    """Solve ``working`` by per-vertex ego subproblems, improving ``incumbent`` in place.
+    """Solve an instance by per-vertex ego subproblems, improving ``incumbent`` in place.
 
     Parameters
     ----------
-    working:
-        The (preprocessed) instance graph with integer vertex ids.  Not
-        modified.  May be ``None`` when both ``adj`` and ``decomposition``
-        are supplied (the prepared-instance path).
+    view:
+        :class:`EgoView` of the (preprocessed) instance graph under any
+        total order (a :class:`~repro.core.prepared.PreparedInstance`
+        caches one under its degeneracy order).  Anchors run in reverse
+        order.
     k:
         Defectiveness parameter.
     config:
@@ -179,17 +245,8 @@ def solve_decomposed(
         called at least once per subproblem (and once per search node by the
         engine).
     incumbent:
-        Best solution known so far, as a list of ``working`` vertex ids with
+        Best solution known so far, as a list of instance vertex ids with
         ``len(incumbent) >= k + 1`` (see module docstring).  Grown in place.
-    adj:
-        Optional precomputed adjacency mapping ``vertex -> neighbour
-        sequence`` used instead of ``working.neighbors`` — a
-        :class:`~repro.core.prepared.PreparedInstance` supplies its frozen
-        ``working_adj`` here so repeated solves skip the rebuild.
-    decomposition:
-        Optional precomputed ``(ordering, position)`` degeneracy
-        decomposition of the instance; computed from ``working`` when
-        absent.
     checkpoint:
         Optional :class:`~repro.core.checkpoint.SolveCheckpoint`.  Anchors
         it journaled as completed by an earlier interrupted run of this
@@ -206,30 +263,22 @@ def solve_decomposed(
             "fall back to the whole-graph bitset solve instead"
         )
     stats.workers = 1
-    if decomposition is None:
-        result = degeneracy_ordering(working)
-        ordering, position = result.ordering, result.position
-    else:
-        ordering, position = decomposition
-    neighbors = adj.__getitem__ if adj is not None else working.neighbors
-
     completed: Sequence[int] = ()
     if checkpoint is not None:
-        restored = checkpoint.verified_incumbent(neighbors, k)
+        restored = checkpoint.verified_incumbent(view.neighbors, k)
         if len(restored) > len(incumbent):
             incumbent[:] = restored
         completed = frozenset(checkpoint.completed)
 
     # Process anchors in reverse peeling order: the densest part of the graph
     # (where the maximum solution almost always lives) is searched first, so
-    # the incumbent tightens early and the cheap size cap in
-    # build_ego_subproblem skips most of the remaining, sparser ego nets
-    # without building them.
-    for v in reversed(ordering):
+    # the incumbent tightens early and the filters in build_ego_subproblem
+    # reject most of the remaining, sparser ego nets without packing them.
+    for v in reversed(view.ordering):
         if v in completed:
             stats.subproblems_restored += 1
             continue
         check_budget()
-        solve_anchor(neighbors, position, v, k, config, stats, check_budget, incumbent)
+        solve_anchor(view, v, k, config, stats, check_budget, incumbent)
         if checkpoint is not None:
             checkpoint.record(v, incumbent)

@@ -5,9 +5,10 @@ once the incumbent lower bound is shared — exactly the structure Chang's kDC
 implementation exploits to scale to million-edge inputs.  This module farms
 them to a :mod:`multiprocessing` pool:
 
-* the parent computes the degeneracy ordering once and ships the adjacency
-  lists, the position map and the solver configuration to each worker via the
-  pool initializer (one pickle per worker, not per task);
+* the parent computes the degeneracy ordering once and ships the rank-space
+  neighbour rows of its :class:`~repro.core.decompose.EgoView`, the order and
+  the solver configuration to each worker via the pool initializer (one
+  pickle per worker, not per task); each worker rebuilds the view there;
 * the current best *size* is broadcast through shared memory; each worker
   refreshes its local lower bound from it before building every subproblem,
   so an improvement found by any worker immediately tightens the size cap
@@ -79,11 +80,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .checkpoint import SolveCheckpoint
 
 from ..exceptions import BudgetExceededError
-from ..graphs.degeneracy import degeneracy_ordering
-from ..graphs.graph import Graph
 from ..testing import chaos as faults
 from .config import SolverConfig
-from .decompose import solve_anchor
+from .decompose import EgoView, solve_anchor
 from .result import SearchStats
 
 __all__ = ["solve_decomposed_parallel"]
@@ -131,13 +130,12 @@ class _WorkerContext:
     and are only ever acquired with :data:`_LOCK_TIMEOUT_SECONDS`.
     """
 
-    __slots__ = ("adj", "position", "k", "config", "best_size", "best_lock",
+    __slots__ = ("view", "k", "config", "best_size", "best_lock",
                  "node_counter", "counter_lock", "node_limit", "deadline")
 
-    def __init__(self, adj, position, k, config, best_size, best_lock,
+    def __init__(self, view, k, config, best_size, best_lock,
                  node_counter, counter_lock, node_limit, deadline) -> None:
-        self.adj = adj
-        self.position = position
+        self.view = view
         self.k = k
         self.config = config
         self.best_size = best_size
@@ -149,8 +147,8 @@ class _WorkerContext:
 
 
 def _init_worker(
-    adj: Dict[int, Tuple[int, ...]],
-    position: Dict[int, int],
+    ordering: Sequence[int],
+    rows: Sequence[Tuple[int, ...]],
     k: int,
     config: SolverConfig,
     best_size,
@@ -161,7 +159,7 @@ def _init_worker(
     deadline: Optional[float],
 ) -> None:
     global _CTX
-    _CTX = _WorkerContext(adj, position, k, config, best_size, best_lock,
+    _CTX = _WorkerContext(EgoView(ordering, rows), k, config, best_size, best_lock,
                           node_counter, counter_lock, node_limit, deadline)
 
 
@@ -248,8 +246,7 @@ def _solve_batch(task: Tuple[int, Sequence[int]]):
     faults.fire("parallel.batch", index=index, best_size=ctx.best_size)
     stats = SearchStats()
     node_check, poll, flush = _make_budget_check(ctx)
-    adj = ctx.adj
-    position = ctx.position
+    view = ctx.view
     k = ctx.k
     best_size = ctx.best_size
     local_best: List[int] = []
@@ -266,8 +263,7 @@ def _solve_batch(task: Tuple[int, Sequence[int]]):
                 # wholesale-replaced on the first strict improvement.
                 incumbent = local_best if len(local_best) >= lb else [-1] * lb
                 try:
-                    solve_anchor(adj.__getitem__, position, v, k, ctx.config,
-                                 stats, node_check, incumbent)
+                    solve_anchor(view, v, k, ctx.config, stats, node_check, incumbent)
                 finally:
                     # The engine records improvements into `incumbent` in
                     # place, so a solution found before a budget interrupt
@@ -298,7 +294,7 @@ def _batched(anchors: List[int], workers: int) -> List[List[int]]:
 
 
 def solve_decomposed_parallel(
-    working: Optional[Graph],
+    view: EgoView,
     k: int,
     config: SolverConfig,
     stats: SearchStats,
@@ -306,13 +302,12 @@ def solve_decomposed_parallel(
     incumbent: List[int],
     deadline: Optional[float] = None,
     node_limit: Optional[int] = None,
-    adj: Optional[Dict[int, Tuple[int, ...]]] = None,
-    decomposition: Optional[Tuple[Sequence[int], Dict[int, int]]] = None,
     checkpoint: Optional["SolveCheckpoint"] = None,
 ) -> None:
     """Parallel twin of :func:`repro.core.decompose.solve_decomposed`.
 
-    Parameters mirror the sequential driver; additionally:
+    Parameters mirror the sequential driver (the ``view``'s order and rows
+    are the worker-pool payload); additionally:
 
     deadline:
         Absolute ``time.monotonic()`` wall-clock deadline shipped to the
@@ -321,15 +316,6 @@ def solve_decomposed_parallel(
     node_limit:
         Total branch-and-bound node budget across all workers, counted on
         top of ``stats.nodes`` already spent (``None`` = unlimited).
-    adj:
-        Optional precomputed ``vertex -> neighbour tuple`` adjacency used
-        verbatim as the worker-pool payload (a
-        :class:`~repro.core.prepared.PreparedInstance` passes its frozen
-        ``working_adj``); built from ``working`` when absent.
-    decomposition:
-        Optional precomputed ``(ordering, position)`` degeneracy
-        decomposition; computed from ``working`` when absent.  ``working``
-        may be ``None`` when both ``adj`` and ``decomposition`` are given.
     checkpoint:
         Optional :class:`~repro.core.checkpoint.SolveCheckpoint` (used in
         the parent process only; workers never see it).  Anchors journaled
@@ -353,18 +339,11 @@ def solve_decomposed_parallel(
             "fall back to the whole-graph bitset solve instead"
         )
     workers = config.workers
-    if decomposition is None:
-        result = degeneracy_ordering(working)
-        ordering, position = result.ordering, dict(result.position)
-    else:
-        ordering, position = decomposition[0], dict(decomposition[1])
-    anchors = list(reversed(ordering))
+    anchors = list(reversed(view.ordering))
     stats.workers = workers
 
-    if adj is None:
-        adj = {v: tuple(working.neighbors(v)) for v in working}
     if checkpoint is not None:
-        restored = checkpoint.verified_incumbent(adj.__getitem__, k)
+        restored = checkpoint.verified_incumbent(view.neighbors, k)
         if len(restored) > len(incumbent):
             incumbent[:] = restored
         done = checkpoint.completed
@@ -407,7 +386,7 @@ def solve_decomposed_parallel(
         pool = mp.Pool(
             processes=workers,
             initializer=_init_worker,
-            initargs=(adj, position, k, config, best_size, best_lock,
+            initargs=(view.ordering, view.rows, k, config, best_size, best_lock,
                       node_counter, counter_lock, node_limit, deadline),
         )
         try:
@@ -525,7 +504,6 @@ def solve_decomposed_parallel(
         for _, batch in sorted(remaining.items()):
             for v in batch:
                 check_budget()
-                solve_anchor(adj.__getitem__, position, v, k, config, stats,
-                             check_budget, incumbent)
+                solve_anchor(view, v, k, config, stats, check_budget, incumbent)
                 if checkpoint is not None:
                     checkpoint.record(v, incumbent)

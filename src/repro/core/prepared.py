@@ -39,6 +39,7 @@ from ..exceptions import InvalidParameterError
 from ..graphs.degeneracy import degeneracy_ordering
 from ..graphs.graph import Graph, Vertex
 from .config import SolverConfig
+from .decompose import EgoView
 from .defective import validate_k
 from .heuristics import initial_solution
 from .reductions import preprocess_graph
@@ -74,8 +75,7 @@ class PreparedInstance:
         incumbent of every execute.
     working_adj:
         Adjacency of the RR5/RR6-preprocessed graph as ``{vertex: (sorted
-        neighbour tuple, ...)}`` — exactly the mapping the decomposition
-        drivers ship to worker processes.
+        neighbour tuple, ...)}``.
     working_num_edges:
         Edge count of the preprocessed graph.
     ordering / position:
@@ -110,8 +110,8 @@ class PreparedInstance:
     preprocess_removed_vertices: int
     preprocess_removed_edges: int
     preprocess_reductions: Mapping[str, int]
-    #: lazily-built derived caches (packed rows); excluded from equality and
-    #: dropped on pickling — they are recomputed on demand.
+    #: lazily-built derived caches (packed rows, ego view); excluded from
+    #: equality and dropped on pickling — they are recomputed on demand.
     _cache: Dict[str, object] = field(default_factory=dict, compare=False, repr=False)
 
     # ------------------------------------------------------------------ #
@@ -156,6 +156,19 @@ class PreparedInstance:
             packed = (tuple(order), tuple(rows))
             self._cache["packed"] = packed
         return packed
+
+    def ego_view(self) -> EgoView:
+        """Rank-space :class:`~repro.core.decompose.EgoView` of the working graph.
+
+        Ranks follow :attr:`ordering`; the decomposition drivers build every
+        ego subproblem from it.  Computed lazily on the first decomposed
+        solve, then cached on the artifact.
+        """
+        view = self._cache.get("ego_view")
+        if view is None:
+            view = EgoView.of(self.working_adj.__getitem__, self.ordering)
+            self._cache["ego_view"] = view
+        return view
 
     def working_graph(self) -> Graph:
         """Rebuild the preprocessed graph as a fresh mutable :class:`Graph`.

@@ -48,9 +48,15 @@ class SearchStats:
     #: decomposition ego subproblems actually searched (0 when the solve
     #: never entered the degeneracy decomposition)
     subproblems: int = 0
-    #: decomposition anchors skipped outright because the incumbent size cap
-    #: proved their ego net could not contain a larger solution
+    #: decomposition anchors skipped outright because a filter of
+    #: :func:`~repro.core.decompose.build_ego_subproblem` proved their ego
+    #: net could not contain a larger solution (all filters; the two
+    #: counters below split off the cycle-rank and degree-deficit share)
     subproblems_pruned: int = 0
+    #: anchors of ``subproblems_pruned`` rejected by the cycle-rank filter
+    subproblems_pruned_cycle_rank: int = 0
+    #: anchors of ``subproblems_pruned`` rejected by the degree-deficit filter
+    subproblems_pruned_deficit: int = 0
     #: decomposition anchors skipped because a solve checkpoint journaled
     #: them as completed by an earlier (interrupted) run of the same solve
     subproblems_restored: int = 0
@@ -111,6 +117,8 @@ class SearchStats:
             "backend": self.backend,
             "subproblems": self.subproblems,
             "subproblems_pruned": self.subproblems_pruned,
+            "subproblems_pruned_cycle_rank": self.subproblems_pruned_cycle_rank,
+            "subproblems_pruned_deficit": self.subproblems_pruned_deficit,
             "subproblems_restored": self.subproblems_restored,
             "workers": self.workers,
             "engine": self.engine,
@@ -147,6 +155,8 @@ class SearchStats:
         self.improvements += other.improvements
         self.subproblems += other.subproblems
         self.subproblems_pruned += other.subproblems_pruned
+        self.subproblems_pruned_cycle_rank += other.subproblems_pruned_cycle_rank
+        self.subproblems_pruned_deficit += other.subproblems_pruned_deficit
         self.trail_pushes += other.trail_pushes
         self.trail_pops += other.trail_pops
         self.dirty_drained += other.dirty_drained

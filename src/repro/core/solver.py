@@ -279,16 +279,14 @@ class _SolveRun:
                     # clock, which is meaningful across processes.
                     deadline = time.monotonic() + (self.deadline - time.perf_counter())
                 solve_decomposed_parallel(
-                    None, k, config, self.stats, self._check_budget, self.best,
-                    deadline=deadline, node_limit=self.node_limit,
-                    adj=prepared.working_adj, decomposition=prepared.decomposition(),
+                    prepared.ego_view(), k, config, self.stats, self._check_budget,
+                    self.best, deadline=deadline, node_limit=self.node_limit,
                     checkpoint=self.checkpoint,
                 )
             else:
                 solve_decomposed(
-                    None, k, config, self.stats, self._check_budget, self.best,
-                    adj=prepared.working_adj, decomposition=prepared.decomposition(),
-                    checkpoint=self.checkpoint,
+                    prepared.ego_view(), k, config, self.stats, self._check_budget,
+                    self.best, checkpoint=self.checkpoint,
                 )
             return
         to_global, adj_bits = prepared.packed_adjacency()

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.checkpoint import SolveCheckpoint, checkpoint_meta, checkpoint_token
-from ..core.decompose import solve_decomposed
+from ..core.decompose import EgoView, solve_decomposed
 from ..core.result import SearchStats, SolveResult
 from ..core.solver import KDCSolver
 from ..exceptions import BudgetExceededError, InvalidParameterError
@@ -401,20 +401,15 @@ class IncrementalSolver:
         config = self._solver.config
         solve_started = time.monotonic()
         try:
+            view = EgoView.of(rel_successor.neighbors, epoch.ordering)
             if config.workers and config.workers > 1 and affected:
                 from ..core.parallel import solve_decomposed_parallel
 
                 solve_decomposed_parallel(
-                    rel_successor, k, config, stats, check_budget, incumbent,
-                    decomposition=(epoch.ordering, epoch.position),
-                    checkpoint=carry,
+                    view, k, config, stats, check_budget, incumbent, checkpoint=carry
                 )
             else:
-                solve_decomposed(
-                    rel_successor, k, config, stats, check_budget, incumbent,
-                    decomposition=(epoch.ordering, epoch.position),
-                    checkpoint=carry,
-                )
+                solve_decomposed(view, k, config, stats, check_budget, incumbent, checkpoint=carry)
         except BaseException:
             # Keep the journal for a same-delta retry; commit nothing.
             carry.close()

@@ -167,20 +167,19 @@ class Graph:
         hashable labels as long as their ``repr`` is stable — true for the
         ints and strings produced by every loader in :mod:`repro.graphs.io`.
         """
+        token = {v: self._canonical_token(v) for v in self._adj}
         h = hashlib.sha256()
-        for token in sorted(self._canonical_token(v) for v in self._adj):
-            h.update(token.encode("utf-8"))
-            h.update(b"\x00")
+        h.update("".join(t + "\x00" for t in sorted(token.values())).encode("utf-8"))
         h.update(b"\x01")  # domain separator: vertex section / edge section
+        # Each edge is hashed as "<a>\x1f<b>\x00" with a <= b.  Sorting the
+        # joined strings equals sorting the (a, b) pairs: a repr never holds
+        # a control character, so "\x1f" sorts below every token character.
         edge_tokens = []
         for u, v in self.iter_edges():
-            a, b = self._canonical_token(u), self._canonical_token(v)
-            edge_tokens.append((a, b) if a <= b else (b, a))
-        for a, b in sorted(edge_tokens):
-            h.update(a.encode("utf-8"))
-            h.update(b"\x1f")
-            h.update(b.encode("utf-8"))
-            h.update(b"\x00")
+            a, b = token[u], token[v]
+            edge_tokens.append(a + "\x1f" + b if a <= b else b + "\x1f" + a)
+        edge_tokens.sort()
+        h.update("".join(e + "\x00" for e in edge_tokens).encode("utf-8"))
         return h.hexdigest()
 
     # ------------------------------------------------------------------ #

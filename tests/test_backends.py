@@ -7,6 +7,7 @@ import pytest
 from repro.bench.harness import make_solver, run_instance
 from repro.core import (
     BACKEND_NAMES,
+    EgoView,
     KDCSolver,
     SolverConfig,
     is_k_defective_clique,
@@ -16,6 +17,7 @@ from repro.core import (
 from repro.core.result import SearchStats
 from repro.exceptions import BudgetExceededError, InvalidParameterError
 from repro.graphs import Graph, complete_graph, gnp_random_graph, planted_defective_clique_graph
+from repro.graphs.degeneracy import degeneracy_ordering
 
 
 class TestConfig:
@@ -87,9 +89,10 @@ class TestDecomposition:
     def test_solve_decomposed_requires_usable_incumbent(self):
         g = gnp_random_graph(30, 0.3, seed=9)
         relabeled, _, _ = g.relabel()
+        view = EgoView.of(relabeled.neighbors, degeneracy_ordering(relabeled).ordering)
         with pytest.raises(ValueError):
             solve_decomposed(
-                relabeled, k=3, config=SolverConfig(), stats=SearchStats(),
+                view, k=3, config=SolverConfig(), stats=SearchStats(),
                 check_budget=lambda: None, incumbent=[0],
             )
 

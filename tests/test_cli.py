@@ -95,6 +95,21 @@ class TestCommands:
         assert main(["solve", clique_file, "-k", "0", "--algorithm", "MADEC"]) == 0
         assert "MADEC" in capsys.readouterr().out
 
+    def test_solve_stats_reports_per_filter_prunes(self, tmp_path, capsys):
+        from repro.graphs import powerlaw_cluster_graph
+
+        path = tmp_path / "sparse.edges"
+        write_edge_list(powerlaw_cluster_graph(700, 2, 0.8, seed=4), path)
+        assert main(["solve", str(path), "-k", "2", "--stats"]) == 0
+        lines = dict(
+            line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[1:]
+        )
+        assert int(lines["subproblems_pruned_cycle_rank"]) > 0
+        assert int(lines["subproblems_pruned_deficit"]) > 0
+        assert int(lines["subproblems_pruned"]) >= (
+            int(lines["subproblems_pruned_cycle_rank"]) + int(lines["subproblems_pruned_deficit"])
+        )
+
     def test_stats(self, clique_file, capsys):
         assert main(["stats", clique_file]) == 0
         out = capsys.readouterr().out

@@ -17,6 +17,9 @@ matrix:
   backends (exact as well, merely slower).
 
 The instances are seeded G(n, p) graphs, so failures reproduce exactly.
+:class:`TestSparseFilterMatrix` adds sparse G(n, m) and Holme–Kim graphs on
+which the ego-subproblem filters of :mod:`repro.core.decompose` reject most
+anchors, and checks that they did.
 Tier-1 runs a compact sweep; the ``slow`` marker widens it (more seeds,
 larger n, the full worker matrix) for deep local runs:
 ``pytest tests/test_differential.py -m slow``.
@@ -24,6 +27,7 @@ larger n, the full worker matrix) for deep local runs:
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -35,7 +39,8 @@ from repro.core import (
     prepare_instance,
     variant_config,
 )
-from repro.graphs import gnp_random_graph
+from repro.dynamic import EdgeDelta, IncrementalSolver, apply_delta
+from repro.graphs import gnm_random_graph, gnp_random_graph, powerlaw_cluster_graph
 
 #: Sequential matrix cells: name -> config factory.
 SEQUENTIAL_CELLS = {
@@ -158,6 +163,73 @@ class TestPreparedMatrix:
             result = KDCSolver(config).solve_prepared(prepared)
             assert result.optimal and result.size == expected, name
             assert is_k_defective_clique(graph, result.clique, 2), name
+
+
+#: Sparse instances (average degree 4-6) where the decomposition filters
+#: fire: name -> (graph factory, k, prune counters that must be > 0).
+SPARSE_FILTER_CELLS = {
+    "gnm-600-1200": (lambda: gnm_random_graph(600, 1200, seed=2), 3,
+                     ("subproblems_pruned_cycle_rank",)),
+    "gnm-500-1500": (lambda: gnm_random_graph(500, 1500, seed=1), 4,
+                     ("subproblems_pruned_cycle_rank",)),
+    "holme-kim-500": (lambda: powerlaw_cluster_graph(500, 3, 0.6, seed=3), 3,
+                      ("subproblems_pruned_cycle_rank", "subproblems_pruned_deficit")),
+    "holme-kim-700": (lambda: powerlaw_cluster_graph(700, 2, 0.8, seed=4), 2,
+                      ("subproblems_pruned_cycle_rank", "subproblems_pruned_deficit")),
+}
+
+
+class TestSparseFilterMatrix:
+    """Filtered decomposition == whole-graph bitset == set on sparse graphs."""
+
+    @pytest.mark.parametrize("name", sorted(SPARSE_FILTER_CELLS))
+    def test_decomposed_cells_agree_and_filters_fire(self, name):
+        make_graph, k, counters = SPARSE_FILTER_CELLS[name]
+        graph = make_graph()
+        expected = _solve_size(graph, k, SolverConfig(backend="set"))
+        assert _solve_size(graph, k, SEQUENTIAL_CELLS["bitset-trail-whole"]()) == expected
+        for config in (
+            SolverConfig(backend="bitset", decompose_threshold=1),
+            WORKER_CELLS["workers-2"](),
+        ):
+            result = KDCSolver(config).solve(graph, k)
+            assert result.optimal and result.size == expected, config.workers
+            assert is_k_defective_clique(graph, result.clique, k)
+            stats = result.stats
+            assert stats.workers == config.workers
+            for counter in counters:
+                assert getattr(stats, counter) > 0, (counter, config.workers)
+            assert stats.subproblems_pruned >= (
+                stats.subproblems_pruned_cycle_rank + stats.subproblems_pruned_deficit
+            )
+
+    def test_incremental_matches_scratch(self):
+        make_graph, k, _ = SPARSE_FILTER_CELLS["holme-kim-700"]
+        graph = make_graph()
+        config = SolverConfig(backend="bitset", decompose_threshold=1)
+        tracker = IncrementalSolver(config)
+        scratch = KDCSolver(config)
+        assert tracker.solve(graph, k).optimal
+        rng = random.Random(5)
+        vertices = sorted(graph.vertex_set())
+        incremental_steps = filtered = 0
+        for step in range(6):
+            adds = set()
+            while len(adds) < 3:
+                u, v = sorted(rng.sample(vertices, 2))
+                if not graph.has_edge(u, v):
+                    adds.add((u, v))
+            removes = rng.sample(sorted(tuple(sorted(e)) for e in graph.iter_edges()), 2)
+            delta = EdgeDelta(adds=sorted(adds), removes=removes)
+            report = tracker.apply(delta)
+            graph, digest = apply_delta(graph, delta)
+            reference = scratch.solve(graph, k)
+            assert report.digest == digest
+            assert report.result.optimal and report.result.size == reference.size, step
+            assert is_k_defective_clique(graph, report.result.clique, k)
+            incremental_steps += bool(report.incremental)
+            filtered += report.result.stats.subproblems_pruned_cycle_rank
+        assert incremental_steps > 0 and filtered > 0
 
 
 class TestKdcTVariants:

@@ -11,6 +11,7 @@ import pytest
 from repro.bench.harness import make_solver, run_instance
 from repro.cli import main as cli_main
 from repro.core import (
+    EgoView,
     KDCSolver,
     SolverConfig,
     build_ego_subproblem,
@@ -20,6 +21,7 @@ from repro.core import (
 from repro.core.result import SearchStats
 from repro.exceptions import InvalidParameterError
 from repro.graphs import gnp_random_graph, write_edge_list
+from repro.graphs.degeneracy import degeneracy_ordering
 
 
 class TestConfig:
@@ -84,19 +86,17 @@ class TestBudgetPropagation:
         import multiprocessing
 
         from repro.core import parallel as parallel_module
-        from repro.graphs.degeneracy import degeneracy_ordering
 
         graph = gnp_random_graph(40, 0.5, seed=3)
         relabeled, _, _ = graph.relabel()
         decomposition = degeneracy_ordering(relabeled)
-        adj = {v: tuple(relabeled.neighbors(v)) for v in relabeled}
-        position = dict(decomposition.position)
+        view = EgoView.of(relabeled.neighbors, decomposition.ordering)
         best_size = multiprocessing.Value("q", 3, lock=False)  # k + 1: decomposition-legal
         node_counter = multiprocessing.Value("q", 0, lock=False)
         # node_limit=25 trips mid-engine, after the engine's first incumbent
         # improvements on this dense instance.
         parallel_module._init_worker(
-            adj, position, 2, SolverConfig(), best_size, multiprocessing.Lock(),
+            view.ordering, view.rows, 2, SolverConfig(), best_size, multiprocessing.Lock(),
             node_counter, multiprocessing.Lock(), node_limit=25, deadline=None,
         )
         try:
@@ -127,9 +127,10 @@ class TestBudgetPropagation:
     def test_solve_decomposed_parallel_requires_usable_incumbent(self):
         graph = gnp_random_graph(30, 0.3, seed=9)
         relabeled, _, _ = graph.relabel()
+        view = EgoView.of(relabeled.neighbors, degeneracy_ordering(relabeled).ordering)
         with pytest.raises(ValueError):
             solve_decomposed_parallel(
-                relabeled, k=3, config=SolverConfig(workers=2), stats=SearchStats(),
+                view, k=3, config=SolverConfig(workers=2), stats=SearchStats(),
                 check_budget=lambda: None, incumbent=[0],
             )
 
@@ -207,12 +208,10 @@ class TestEgoSubproblemBuilder:
     def test_size_cap_returns_none(self):
         graph = gnp_random_graph(30, 0.2, seed=0)
         relabeled, _, _ = graph.relabel()
-        from repro.graphs.degeneracy import degeneracy_ordering
-
         decomposition = degeneracy_ordering(relabeled)
         v = decomposition.ordering[0]  # lowest-degeneracy anchor: tiny ego net
         sub = build_ego_subproblem(
-            relabeled.neighbors, decomposition.position, v,
+            EgoView.of(relabeled.neighbors, decomposition.ordering), v,
             lower_bound=relabeled.num_vertices + 1, k=1,
         )
         assert sub is None
@@ -220,8 +219,6 @@ class TestEgoSubproblemBuilder:
     def test_anchor_is_local_zero(self):
         graph = gnp_random_graph(30, 0.4, seed=1)
         relabeled, _, _ = graph.relabel()
-        from repro.graphs.degeneracy import degeneracy_ordering
-
         decomposition = degeneracy_ordering(relabeled)
         position = decomposition.position
         # Anchor with the most higher-ranked neighbours, so the ego net is
@@ -231,7 +228,7 @@ class TestEgoSubproblemBuilder:
             key=lambda u: sum(1 for w in relabeled.neighbors(u) if position[w] > position[u]),
         )
         sub = build_ego_subproblem(
-            relabeled.neighbors, decomposition.position, v, lower_bound=2, k=1
+            EgoView.of(relabeled.neighbors, decomposition.ordering), v, lower_bound=2, k=1
         )
         assert sub is not None
         local_vertices, adj_bits = sub

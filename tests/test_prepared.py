@@ -76,6 +76,17 @@ class TestPrepareInstance:
                 expected |= 1 << index[u]
             assert rows[index[v]] == expected
 
+    def test_ego_view_is_cached_and_dropped_on_pickling(self, graph):
+        prepared = prepare_instance(graph, 1)
+        view = prepared.ego_view()
+        assert prepared.ego_view() is view
+        assert view.ordering == prepared.ordering
+        for v, nbrs in prepared.working_adj.items():
+            assert sorted(view.neighbors(v)) == sorted(nbrs)
+        clone = pickle.loads(pickle.dumps(prepared))
+        assert clone._cache == {}
+        assert clone.ego_view().rows == view.rows
+
     def test_working_graph_round_trip(self, graph):
         prepared = prepare_instance(graph, 1)
         rebuilt = prepared.working_graph()

@@ -48,6 +48,16 @@ class TestSearchStats:
         assert data["removed_RR3"] == 2
         assert "nodes" in data
 
+    def test_per_filter_prune_counters_merge_and_report(self):
+        stats = SearchStats(subproblems_pruned=5, subproblems_pruned_cycle_rank=2,
+                            subproblems_pruned_deficit=1)
+        stats.merge_from(SearchStats(subproblems_pruned=4, subproblems_pruned_cycle_rank=3,
+                                     subproblems_pruned_deficit=1))
+        data = stats.as_dict()
+        assert data["subproblems_pruned"] == 9
+        assert data["subproblems_pruned_cycle_rank"] == 5
+        assert data["subproblems_pruned_deficit"] == 2
+
 
 class TestSolveResult:
     def test_size_synced_with_clique(self):
