@@ -49,8 +49,9 @@ whole-graph solve when the incumbent is smaller than ``k + 1`` —
 
 The filters and the build work in rank space (:class:`EgoView`): vertex ids
 are positions in the order, so ``N⁺(v)`` and each two-hop list are slices of
-sorted neighbour tuples and local degrees are frozenset intersections — set
-and slice operations, not Python loops over the neighbour lists of hubs.
+sorted neighbour tuples and local degrees are set intersections, each
+walking the smaller side for hubs — set and slice operations, not Python
+loops over the neighbour lists of hubs.
 
 The subproblems are independent once the incumbent bound is shared, which is
 what makes them embarrassingly parallel: :mod:`repro.core.parallel` reuses
@@ -63,7 +64,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .checkpoint import SolveCheckpoint
@@ -75,34 +78,68 @@ from .result import SearchStats
 __all__ = ["EgoView", "build_ego_subproblem", "solve_anchor", "solve_decomposed"]
 
 
+#: Rows longer than this also get a frozenset in :attr:`EgoView.sets`.
+#: ``set.intersection`` walks a tuple argument whole but only the smaller of
+#: two sets, so hubs need a set to cost O(local width) per ego net; short
+#: rows skip it, as a small frozenset takes ~0.7 KB.
+_SET_MIN_DEGREE = 32
+
+
 class EgoView:
     """Rank-space adjacency of an instance graph under a total vertex order.
 
     Vertex ``ordering[r]`` has id ``r``; ``rows[r]`` is the sorted tuple of
-    its neighbours' ids and ``sets[r]`` the same ids as a frozenset.  Built
-    once per solve (a :class:`~repro.core.prepared.PreparedInstance` caches
-    it) and read-only afterwards.
+    its neighbours' ids, and ``sets[r]`` the same ids as a frozenset for
+    rows longer than ``_SET_MIN_DEGREE`` (the row itself otherwise), ready
+    for ``set.intersection``.  Built once per solve (a
+    :class:`~repro.core.prepared.PreparedInstance` caches it) and read-only
+    afterwards.
     """
 
     __slots__ = ("ordering", "position", "rows", "sets")
 
-    def __init__(self, ordering: Sequence[int], rows: Sequence[Tuple[int, ...]]) -> None:
+    def __init__(
+        self,
+        ordering: Sequence[int],
+        rows: Sequence[Tuple[int, ...]],
+        position: Optional[Mapping[int, int]] = None,
+    ) -> None:
         self.ordering: Tuple[int, ...] = tuple(ordering)
-        self.position: Dict[int, int] = {v: r for r, v in enumerate(self.ordering)}
+        #: vertex -> rank; a caller that already holds it passes it in, so
+        #: large views share it (and its int objects) instead of a copy
+        self.position: Mapping[int, int] = (
+            position if position is not None else _positions(self.ordering)
+        )
         self.rows: Sequence[Tuple[int, ...]] = rows
-        self.sets: Tuple[FrozenSet[int], ...] = tuple(map(frozenset, rows))
+        self.sets: Tuple[Collection[int], ...] = tuple(
+            frozenset(row) if len(row) > _SET_MIN_DEGREE else row for row in rows
+        )
 
     @classmethod
-    def of(cls, neighbors: Callable[[int], Sequence[int]], ordering: Sequence[int]) -> "EgoView":
-        """View of the graph behind ``neighbors`` under ``ordering``."""
-        rank = {v: r for r, v in enumerate(ordering)}.__getitem__
+    def of(
+        cls,
+        neighbors: Callable[[int], Sequence[int]],
+        ordering: Sequence[int],
+        position: Optional[Mapping[int, int]] = None,
+    ) -> "EgoView":
+        """View of the graph behind ``neighbors`` under ``ordering``.
+
+        ``position`` must be the inverse of ``ordering`` when given.
+        """
+        if position is None:
+            position = _positions(ordering)
+        rank = position.__getitem__
         rows = tuple(tuple(sorted(map(rank, neighbors(v)))) for v in ordering)
-        return cls(ordering, rows)
+        return cls(ordering, rows, position)
 
     def neighbors(self, v: int) -> List[int]:
         """Neighbours of instance vertex ``v``, as instance vertex ids."""
         ordering = self.ordering
         return [ordering[u] for u in self.rows[self.position[v]]]
+
+
+def _positions(ordering: Sequence[int]) -> Dict[int, int]:
+    return {v: r for r, v in enumerate(ordering)}
 
 
 def solve_anchor(
@@ -191,7 +228,7 @@ def build_ego_subproblem(
 
     local_set = set(local)
     sets = view.sets
-    local_nbrs = [sets[u] & local_set for u in local]
+    local_nbrs = [local_set.intersection(sets[u]) for u in local]
     degrees = list(map(len, local_nbrs))
     # Cycle rank, then degree deficit (module docstring).
     if sum(degrees) // 2 - width < target * (target - 1) // 2 - k - target:

@@ -166,7 +166,7 @@ class PreparedInstance:
         """
         view = self._cache.get("ego_view")
         if view is None:
-            view = EgoView.of(self.working_adj.__getitem__, self.ordering)
+            view = EgoView.of(self.working_adj.__getitem__, self.ordering, self.position)
             self._cache["ego_view"] = view
         return view
 

@@ -28,7 +28,7 @@ Exactness is non-negotiable and rests on three guards, all enforced here:
    relabeled graph, never the RR5/RR6-preprocessed one — those reductions
    were taken relative to an old lower bound on an old graph and are
    unsound to reuse once edges are added.  The decomposition's per-anchor
-   size cap provides the pruning instead.
+   filters provide the pruning instead.
 
 When the affected set grows past ``max_affected_fraction`` of the vertices
 the incremental route would do most of a full solve's work anyway, so the
@@ -401,7 +401,7 @@ class IncrementalSolver:
         config = self._solver.config
         solve_started = time.monotonic()
         try:
-            view = EgoView.of(rel_successor.neighbors, epoch.ordering)
+            view = EgoView.of(rel_successor.neighbors, epoch.ordering, epoch.position)
             if config.workers and config.workers > 1 and affected:
                 from ..core.parallel import solve_decomposed_parallel
 

@@ -111,12 +111,16 @@ def test_every_filter_fires_across_the_oracle_graphs():
 
 
 def test_view_is_rank_space_adjacency():
-    graph = gnp_random_graph(20, 0.3, seed=3)
+    graph = gnp_random_graph(60, 0.1, seed=3)
+    for u in range(1, 50):  # a hub, whose row also gets a frozenset
+        if not graph.has_edge(0, u):
+            graph.add_edge(0, u)
     ordering = list(degeneracy_ordering(graph).ordering)
     view = EgoView.of(graph.neighbors, ordering)
     assert view.ordering == tuple(ordering)
     for r, v in enumerate(ordering):
         assert view.position[v] == r
         assert list(view.rows[r]) == sorted(ordering.index(u) for u in graph.neighbors(v))
-        assert view.sets[r] == frozenset(view.rows[r])
+        assert frozenset(view.sets[r]) == frozenset(view.rows[r])
         assert sorted(view.neighbors(v)) == sorted(graph.neighbors(v))
+    assert {type(s) for s in view.sets} == {frozenset, tuple}
