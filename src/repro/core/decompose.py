@@ -49,9 +49,9 @@ whole-graph solve when the incumbent is smaller than ``k + 1`` —
 
 The filters and the build work in rank space (:class:`EgoView`): vertex ids
 are positions in the order, so ``N⁺(v)`` and each two-hop list are slices of
-sorted neighbour tuples and local degrees are set intersections, each
-walking the smaller side for hubs — set and slice operations, not Python
-loops over the neighbour lists of hubs.
+sorted neighbour tuples and local degrees come from set intersections that
+walk only the smaller side for hubs: the per-anchor work runs in C set and
+slice operations, not in Python loops over the neighbour lists of hubs.
 
 The subproblems are independent once the incumbent bound is shared, which is
 what makes them embarrassingly parallel: :mod:`repro.core.parallel` reuses

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..exceptions import InvalidParameterError
 from ..graphs.degeneracy import degeneracy_ordering
@@ -129,10 +129,6 @@ class PreparedInstance:
     def lower_bound(self) -> int:
         """Size of the heuristic incumbent the search starts from."""
         return len(self.heuristic)
-
-    def decomposition(self) -> Tuple[Sequence[int], Mapping[int, int]]:
-        """The ``(ordering, position)`` pair the decomposition drivers accept."""
-        return self.ordering, self.position
 
     def packed_adjacency(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Packed whole-graph bitset rows ``(to_global, adj_bits)``.

@@ -35,7 +35,7 @@ class TestPrepareInstance:
         assert prepared.lower_bound == len(prepared.heuristic) > 0
         assert prepared.prepare_seconds > 0
         # the decomposition covers exactly the working vertices
-        ordering, position = prepared.decomposition()
+        ordering, position = prepared.ordering, prepared.position
         assert sorted(ordering) == sorted(prepared.working_adj)
         assert all(position[v] == i for i, v in enumerate(ordering))
         # adjacency is symmetric and sorted
