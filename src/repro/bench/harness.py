@@ -50,7 +50,6 @@ def make_solver(
     node_limit: Optional[int] = None,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    engine: Optional[str] = None,
 ):
     """Instantiate a solver by its paper name.
 
@@ -59,21 +58,20 @@ def make_solver(
     the baseline reimplementations.
 
     ``backend`` overrides the search-state backend of the kDC variants
-    (``"auto"``, ``"set"`` or ``"bitset"``), ``workers`` the number of
-    decomposition worker processes, and ``engine`` the bitset
-    branch-and-bound engine (``"trail"`` or ``"copy"``); the baselines have
-    a single implementation and reject all three.
+    (``"auto"``, ``"set"`` or ``"bitset"``) and ``workers`` the number of
+    decomposition worker processes; the baselines have a single
+    implementation and reject both.
     """
     if name in ("KDBB",):
-        if backend is not None or workers is not None or engine is not None:
+        if backend is not None or workers is not None:
             raise InvalidParameterError(
-                "backend/workers/engine selection only applies to the kDC variants"
+                "backend/workers selection only applies to the kDC variants"
             )
         return KDBBSolver(time_limit=time_limit, node_limit=node_limit)
     if name in ("MADEC", "MADEC+"):
-        if backend is not None or workers is not None or engine is not None:
+        if backend is not None or workers is not None:
             raise InvalidParameterError(
-                "backend/workers/engine selection only applies to the kDC variants"
+                "backend/workers selection only applies to the kDC variants"
             )
         return MADECSolver(time_limit=time_limit, node_limit=node_limit)
     try:
@@ -87,8 +85,6 @@ def make_solver(
         overrides["backend"] = backend
     if workers is not None:
         overrides["workers"] = workers
-    if engine is not None:
-        overrides["engine"] = engine
     if overrides:
         config = dataclass_replace(config, **overrides)
     return KDCSolver(config, name=name)
@@ -112,15 +108,6 @@ class InstanceRecord:
     #: decomposition worker processes used (0 when the solve never entered
     #: the degeneracy decomposition, e.g. baselines or whole-graph searches)
     workers: int = 0
-    #: bitset engine that ran ("trail"/"copy"; "" when the bitset backend
-    #: never ran)
-    engine: str = ""
-    #: trail engine counters (all 0 for the copy engine / set backend)
-    trail_pushes: int = 0
-    trail_pops: int = 0
-    dirty_drained: int = 0
-    recolor_full: int = 0
-    recolor_repair: int = 0
     #: request-level phase timings (see :class:`~repro.core.result.SearchStats`):
     #: milliseconds spent preparing (relabel + heuristic + preprocessing +
     #: degeneracy order) and in the branch-and-bound itself, plus the queue
@@ -145,12 +132,6 @@ class InstanceRecord:
             "nodes": self.nodes,
             "backend": self.backend,
             "workers": self.workers,
-            "engine": self.engine,
-            "trail_pushes": self.trail_pushes,
-            "trail_pops": self.trail_pops,
-            "dirty_drained": self.dirty_drained,
-            "recolor_full": self.recolor_full,
-            "recolor_repair": self.recolor_repair,
             "prepare_ms": self.prepare_ms,
             "queue_ms": self.queue_ms,
             "solve_ms": self.solve_ms,
@@ -182,12 +163,6 @@ class InstanceRecord:
             nodes=stats.nodes,
             backend=stats.backend,
             workers=stats.workers,
-            engine=stats.engine,
-            trail_pushes=stats.trail_pushes,
-            trail_pops=stats.trail_pops,
-            dirty_drained=stats.dirty_drained,
-            recolor_full=stats.recolor_full,
-            recolor_repair=stats.recolor_repair,
             prepare_ms=stats.prepare_ms,
             queue_ms=stats.queue_ms,
             solve_ms=stats.solve_ms,
@@ -204,18 +179,16 @@ def run_instance(
     instance: str = "",
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> InstanceRecord:
     """Run one algorithm on one graph for one ``k`` under a time limit.
 
-    ``backend`` optionally forces the kDC search-state backend, ``workers``
-    the decomposition worker-process count, and ``engine`` the bitset
-    engine; what actually ran (backend resolved from ``"auto"``, workers
-    actually used by the decomposition, the engine that searched) is
-    recorded on the returned record.
+    ``backend`` optionally forces the kDC search-state backend and
+    ``workers`` the decomposition worker-process count; what actually ran
+    (backend resolved from ``"auto"``, workers actually used by the
+    decomposition) is recorded on the returned record.
     """
     solver = make_solver(
-        algorithm, time_limit=time_limit, backend=backend, workers=workers, engine=engine
+        algorithm, time_limit=time_limit, backend=backend, workers=workers
     )
     start = time.perf_counter()
     result: SolveResult = solver.solve(graph, k)

@@ -2,7 +2,7 @@
 
 The paper's headline evaluation is "instances solved within a time limit"
 across an algorithm × instance × k matrix, and the repo's performance story
-(PR 1's bitset backend, PR 3's trail engine, PR 6's prepare amortization) is
+(the bitset backend, the prepare amortization) is
 only durable if those measurements accumulate somewhere queryable.  The
 :class:`ExperimentStore` keeps them in one SQLite file, organised in the
 style of py_experimenter (keyfields → resultfields, plus incremental log
@@ -13,18 +13,21 @@ tables):
   finish timestamps and a status (``running``/``partial``/``interrupted``/
   ``complete``);
 * ``experiments`` — one row per completed cell, keyed by the **keyfields**
-  ``(collection, instance, k, algorithm, backend, engine, workers)`` with
+  ``(collection, instance, k, algorithm, backend, workers)`` with
   the **resultfields** ``size``/``optimal``/``nodes``/``elapsed_seconds``/
   ``node_throughput`` plus the request-level phase timings
   (``prepare_ms``/``queue_ms``/``solve_ms``/``cache_hit``) introduced by the
   solver service.  Unmapped fields survive in an ``extra`` JSON column.
   A UNIQUE constraint over ``(run_id, *keyfields)`` is what makes campaigns
-  checkpointable: a cell either exists or it does not;
+  checkpointable: a cell either exists or it does not.  Stores created
+  before the engine axis was removed keep their ``engine`` column; new rows
+  fill it with its ``''`` default, so such files still open, record and
+  compare;
 * ``logs`` — an append-only event stream per run (begin/resume/cell_done/
-  interrupted/...), the debugging trail of long campaigns.
+  interrupted/...), the debugging record of long campaigns.
 
 On top of the storage, :func:`compare_runs` implements the regression gate:
-it groups two runs' rows by ``(backend, engine)`` cell, compares median
+it groups two runs' rows by backend cell, compares median
 node throughput (nodes / elapsed second), and flags any cell whose median
 dropped by more than ``threshold`` (default 20%).  ``repro experiments
 compare`` turns a flagged report into a non-zero exit code, which is what
@@ -65,7 +68,7 @@ __all__ = [
 ]
 
 #: Fields identifying one experiment cell (the py_experimenter "keyfields").
-KEYFIELDS = ("collection", "instance", "k", "algorithm", "backend", "engine", "workers")
+KEYFIELDS = ("collection", "instance", "k", "algorithm", "backend", "workers")
 
 #: Measured outcome fields of one cell (the "resultfields").
 RESULTFIELDS = (
@@ -106,7 +109,6 @@ CREATE TABLE IF NOT EXISTS experiments (
     k               INTEGER NOT NULL DEFAULT -1,
     algorithm       TEXT NOT NULL DEFAULT '',
     backend         TEXT NOT NULL DEFAULT '',
-    engine          TEXT NOT NULL DEFAULT '',
     workers         INTEGER NOT NULL DEFAULT 0,
     size            INTEGER,
     optimal         INTEGER,
@@ -119,7 +121,7 @@ CREATE TABLE IF NOT EXISTS experiments (
     cache_hit       INTEGER,
     extra           TEXT NOT NULL DEFAULT '{}',
     created_unix    REAL NOT NULL,
-    UNIQUE (run_id, collection, instance, k, algorithm, backend, engine, workers)
+    UNIQUE (run_id, collection, instance, k, algorithm, backend, workers)
 );
 CREATE TABLE IF NOT EXISTS logs (
     log_id        INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -315,7 +317,6 @@ class ExperimentStore:
             int(keyfields.get("k", -1)),
             str(keyfields.get("algorithm", "")),
             str(keyfields.get("backend", "")),
-            str(keyfields.get("engine", "")),
             int(keyfields.get("workers", 0)),
         )
 
@@ -353,9 +354,9 @@ class ExperimentStore:
         with self._lock:
             cur = self._conn.execute(
                 f"{verb} INTO experiments (run_id, collection, instance, k, algorithm,"
-                " backend, engine, workers, size, optimal, nodes, elapsed_seconds,"
+                " backend, workers, size, optimal, nodes, elapsed_seconds,"
                 " node_throughput, prepare_ms, queue_ms, solve_ms, cache_hit, extra,"
-                " created_unix) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                " created_unix) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (run_id, *key, *values, json.dumps(extra or {}, sort_keys=True), time.time()),
             )
             self._conn.commit()
@@ -368,7 +369,7 @@ class ExperimentStore:
             row = self._conn.execute(
                 "SELECT 1 FROM experiments WHERE run_id = ? AND collection = ? AND"
                 " instance = ? AND k = ? AND algorithm = ? AND backend = ? AND"
-                " engine = ? AND workers = ? LIMIT 1",
+                " workers = ? LIMIT 1",
                 (run_id, *key),
             ).fetchone()
         return row is not None
@@ -377,7 +378,7 @@ class ExperimentStore:
         """Return the keyfield tuples of every cell recorded by ``run_id``."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT collection, instance, k, algorithm, backend, engine, workers"
+                "SELECT collection, instance, k, algorithm, backend, workers"
                 " FROM experiments WHERE run_id = ? ORDER BY experiment_id",
                 (run_id,),
             ).fetchall()
@@ -459,10 +460,9 @@ class ExperimentStore:
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class CellComparison:
-    """Median node-throughput comparison of one (backend, engine) cell."""
+    """Median node-throughput comparison of one backend cell."""
 
     backend: str
-    engine: str
     baseline_median: Optional[float]
     candidate_median: Optional[float]
     baseline_rows: int
@@ -493,9 +493,9 @@ class ComparisonReport:
         return not self.regressions
 
     def format_table(self) -> str:
-        """Human-readable per-cell summary (one line per (backend, engine))."""
+        """Human-readable per-cell summary (one line per backend)."""
         lines = [
-            f"{'backend':<8} {'engine':<6} {'baseline nps':>14} {'candidate nps':>14}"
+            f"{'backend':<8} {'baseline nps':>14} {'candidate nps':>14}"
             f" {'ratio':>7}  status"
         ]
         for cell in self.cells:
@@ -504,7 +504,7 @@ class ComparisonReport:
             ratio = f"{cell.ratio:.3f}" if cell.ratio is not None else "-"
             status = "REGRESSED" if cell.regressed else "ok"
             lines.append(
-                f"{cell.backend or '-':<8} {cell.engine or '-':<6} {base:>14} {cand:>14}"
+                f"{cell.backend or '-':<8} {base:>14} {cand:>14}"
                 f" {ratio:>7}  {status}"
             )
         verdict = (
@@ -517,13 +517,13 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _throughput_samples(rows: Iterable[Dict[str, object]]) -> Dict[Tuple[str, str], List[float]]:
-    """Group usable throughput samples by (backend, engine).
+def _throughput_samples(rows: Iterable[Dict[str, object]]) -> Dict[str, List[float]]:
+    """Group usable throughput samples by backend.
 
     Cache hits and rows without real search work (no nodes, or zero elapsed
     time) carry no throughput signal and are excluded.
     """
-    samples: Dict[Tuple[str, str], List[float]] = {}
+    samples: Dict[str, List[float]] = {}
     for row in rows:
         if row.get("cache_hit"):
             continue
@@ -535,8 +535,7 @@ def _throughput_samples(rows: Iterable[Dict[str, object]]) -> Dict[Tuple[str, st
             throughput = float(nodes) / float(elapsed)
         if throughput <= 0:
             continue
-        key = (str(row.get("backend") or ""), str(row.get("engine") or ""))
-        samples.setdefault(key, []).append(float(throughput))
+        samples.setdefault(str(row.get("backend") or ""), []).append(float(throughput))
     return samples
 
 
@@ -557,9 +556,9 @@ def compare_runs(
     baseline = _throughput_samples(baseline_rows)
     candidate = _throughput_samples(candidate_rows)
     report = ComparisonReport(threshold=threshold)
-    for key in sorted(set(baseline) | set(candidate)):
-        base_samples = baseline.get(key, [])
-        cand_samples = candidate.get(key, [])
+    for backend in sorted(set(baseline) | set(candidate)):
+        base_samples = baseline.get(backend, [])
+        cand_samples = candidate.get(backend, [])
         base_median = median(base_samples) if base_samples else None
         cand_median = median(cand_samples) if cand_samples else None
         regressed = (
@@ -569,8 +568,7 @@ def compare_runs(
         )
         report.cells.append(
             CellComparison(
-                backend=key[0],
-                engine=key[1],
+                backend=backend,
                 baseline_median=base_median,
                 candidate_median=cand_median,
                 baseline_rows=len(base_samples),
@@ -601,18 +599,18 @@ CANNED_REPORTS: Dict[str, Tuple[str, str]] = {
         """,
     ),
     "throughput-trend": (
-        "median-free throughput trajectory: per run and (backend, engine) cell",
+        "median-free throughput trajectory: per run and backend cell",
         """
         SELECT r.run_id, r.label,
                datetime(r.started_unix, 'unixepoch') AS started,
-               e.backend, e.engine,
+               e.backend,
                COUNT(*) AS cells,
                AVG(e.node_throughput) AS avg_node_throughput
         FROM experiments e JOIN runs r USING (run_id)
         WHERE e.node_throughput IS NOT NULL AND e.node_throughput > 0
               AND (e.cache_hit IS NULL OR e.cache_hit = 0)
-        GROUP BY r.run_id, e.backend, e.engine
-        ORDER BY r.started_unix, e.backend, e.engine
+        GROUP BY r.run_id, e.backend
+        ORDER BY r.started_unix, e.backend
         """,
     ),
     "solved-by-k": (
@@ -631,7 +629,7 @@ CANNED_REPORTS: Dict[str, Tuple[str, str]] = {
         "the 20 slowest solved cells across all runs",
         """
         SELECT e.run_id, e.collection, e.instance, e.k, e.algorithm,
-               e.backend, e.engine, e.workers, e.nodes, e.elapsed_seconds
+               e.backend, e.workers, e.nodes, e.elapsed_seconds
         FROM experiments e
         WHERE e.elapsed_seconds IS NOT NULL
         ORDER BY e.elapsed_seconds DESC

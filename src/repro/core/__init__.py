@@ -17,12 +17,11 @@ from .bounds import (
 )
 from .branching import select_branching_vertex
 from .checkpoint import SolveCheckpoint, checkpoint_meta
-from .config import BACKEND_NAMES, ENGINE_NAMES, VARIANT_NAMES, SolverConfig, variant_config
+from .config import BACKEND_NAMES, VARIANT_NAMES, SolverConfig, variant_config
 from .decompose import EgoView, build_ego_subproblem, solve_decomposed
 from .parallel import solve_decomposed_parallel
 from .fastpath import (
     BitsetEngine,
-    ReductionWorklist,
     bitset_apply_reductions,
     bitset_color_classes,
     bitset_select_branching_vertex,
@@ -70,7 +69,6 @@ __all__ = [
     "variant_config",
     "VARIANT_NAMES",
     "BACKEND_NAMES",
-    "ENGINE_NAMES",
     "SolveResult",
     "SearchStats",
     "PreparedInstance",
@@ -78,7 +76,6 @@ __all__ = [
     "SearchState",
     "BitsetSearchState",
     "BitsetEngine",
-    "ReductionWorklist",
     "bitset_apply_reductions",
     "bitset_color_classes",
     "bitset_select_branching_vertex",

@@ -23,21 +23,6 @@ The invariants maintained are exactly those of ``SearchState``:
 * ``non_nbrs[v]`` — for every candidate ``v``, ``|\\bar{N}_S(v)|``;
 * ``edges_in_graph`` — number of edges of the instance graph (kept
   incrementally so the leaf test is O(1)).
-
-Trail (undo stack)
-------------------
-A state can optionally record every transition on a *trail* so it can be
-rewound instead of copied: :meth:`BitsetSearchState.begin_trail` installs the
-trail, after which :meth:`add_to_solution` and :meth:`remove_candidate` push
-one reversible entry each, and :meth:`rewind_to` pops entries back to a mark
-taken with :meth:`trail_mark`.  An entry stores only what the inverse
-operation cannot recompute — the previous ``last_added`` for an addition, the
-edge-count delta for a removal; everything else (``non_nbrs`` updates, the
-``missing_in_solution`` delta) is reconstructed from the state itself, which
-is valid precisely because rewinding is LIFO: when an entry is popped the
-state is bit-for-bit the state right after that entry was pushed.  This is
-what the trail engine in :mod:`repro.core.fastpath` builds on: branching
-costs O(changes), not O(n).
 """
 
 from __future__ import annotations
@@ -73,10 +58,9 @@ def bits_of(mask: int) -> List[int]:
     Adaptive: dense masks walk a byte-level lookup table over
     ``int.to_bytes`` (iterating the bytes object is a C-level loop, so the
     per-element cost is several times lower than repeated lowest-bit
-    extraction), while sparse masks — common for the trail engine's dirty
-    queues and colour-class members, where a handful of bits sit in a wide
-    word — use ``mask & -mask`` extraction and skip the zero bytes
-    entirely.  This is the workhorse of every candidate scan in
+    extraction), while sparse masks — common for colour-class members,
+    where a handful of bits sit in a wide word — use ``mask & -mask``
+    extraction and skip the zero bytes entirely.  This is the workhorse of every candidate scan in
     :mod:`repro.core.fastpath`.
     """
     if not mask:
@@ -100,12 +84,6 @@ def bits_of(mask: int) -> List[int]:
     return out
 
 
-# Trail entry encoding: a candidate removal is pushed as the bare vertex id
-# ``v`` under lazy edge tracking (the common case by far — nothing else needs
-# restoring) or as ``-(v + 1)`` with the edge delta in a side list otherwise;
-# an addition to ``S`` is pushed as the 2-tuple ``(v, previous_last_added)``.
-
-
 class BitsetSearchState:
     """Mutable branch-and-bound instance ``(g, S)`` over packed adjacency bitmaps.
 
@@ -124,10 +102,6 @@ class BitsetSearchState:
         "non_nbrs",
         "edges_in_graph",
         "last_added",
-        "trail",
-        "trail_pushes",
-        "trail_pops",
-        "lazy_edges",
         "_cand_key",
         "_cand_list",
     )
@@ -153,11 +127,6 @@ class BitsetSearchState:
         self.non_nbrs = non_nbrs
         self.edges_in_graph = edges_in_graph
         self.last_added = last_added
-        #: Undo stack; entries are bare ints (lazy removals) or 2-tuples.
-        self.trail: Optional[list] = None
-        self.trail_pushes = 0
-        self.trail_pops = 0
-        self.lazy_edges = False
         self._cand_key = -1
         self._cand_list: List[int] = []
 
@@ -196,12 +165,8 @@ class BitsetSearchState:
         )
 
     def copy(self) -> "BitsetSearchState":
-        """Return an independent copy sharing only the immutable adjacency rows.
-
-        The copy never inherits a trail: copies exist precisely so the copy
-        engine does not need one, and a shared trail would corrupt rewinds.
-        """
-        clone = BitsetSearchState(
+        """Return an independent copy sharing only the immutable adjacency rows."""
+        return BitsetSearchState(
             adj=self.adj,
             k=self.k,
             solution=list(self.solution),
@@ -212,8 +177,6 @@ class BitsetSearchState:
             edges_in_graph=self.edges_in_graph,
             last_added=self.last_added,
         )
-        clone.lazy_edges = self.lazy_edges
-        return clone
 
     # ------------------------------------------------------------------ #
     # Size / structure queries
@@ -242,8 +205,8 @@ class BitsetSearchState:
 
         Several per-node consumers (RR3, RR4, the leaf test, UB3, BR) need
         the same materialised candidate bits; the cache is keyed on the
-        bitmask itself, so any mutation — including a trail rewind —
-        invalidates it by comparison, never by bookkeeping.  Callers must
+        bitmask itself, so any mutation invalidates it by comparison, never
+        by bookkeeping.  Callers must
         treat the returned list as read-only.
         """
         if self._cand_key != self.cand_bits:
@@ -256,56 +219,17 @@ class BitsetSearchState:
         return (self.adj[v] & (self.solution_bits | self.cand_bits)).bit_count()
 
     def total_edges(self) -> int:
-        """Number of edges of the instance graph (incremental, or recounted under ``lazy_edges``)."""
-        if not self.lazy_edges:
-            return self.edges_in_graph
-        verts = self.solution_bits | self.cand_bits
-        adj = self.adj
-        return sum((adj[v] & verts).bit_count() for v in iter_bits(verts)) // 2
+        """Number of edges of the instance graph (kept incrementally)."""
+        return self.edges_in_graph
 
     def total_missing(self) -> int:
         """Number of non-edges of the whole instance graph ``g``."""
         n = self.graph_size
         return n * (n - 1) // 2 - self.total_edges()
 
-    def is_defective_clique(self, cand_list: Optional[List[int]] = None) -> bool:
-        """``True`` iff the entire instance graph is a k-defective clique (leaf test).
-
-        With incremental edge tracking this is one O(1) comparison.  Under
-        :attr:`lazy_edges` the missing edges are counted on demand with an
-        early exit: first the exactly-known ``S``-side misses
-        (``missing_in_solution`` plus the ``non_nbrs`` counters), then the
-        candidate-internal misses vertex by vertex — on non-leaf instances
-        the budget ``k`` is exhausted within a few candidates, so the common
-        case costs a handful of integer adds and popcounts, not O(n).
-        ``cand_list`` (the materialised candidate bits) is accepted to reuse
-        the engine's per-node scan.
-        """
-        k = self.k
-        if not self.lazy_edges:
-            return self.total_missing() <= k
-        missing = self.missing_in_solution
-        if missing > k:
-            return False
-        non_nbrs = self.non_nbrs
-        cand = self.cand_bits
-        if cand_list is None:
-            cand_list = bits_of(cand)
-        for v in cand_list:
-            missing += non_nbrs[v]
-            if missing > k:
-                return False
-        adj = self.adj
-        remaining = len(cand_list) - 1
-        for i, v in enumerate(cand_list[:-1]):
-            # Non-neighbours of v among the higher candidates; each missing
-            # candidate-candidate pair is counted exactly once.
-            higher = (cand >> v >> 1) << v << 1
-            missing += remaining - (adj[v] & higher).bit_count()
-            if missing > k:
-                return False
-            remaining -= 1
-        return True
+    def is_defective_clique(self) -> bool:
+        """``True`` iff the entire instance graph is a k-defective clique (leaf test, O(1))."""
+        return self.total_missing() <= self.k
 
     def missing_if_added(self, v: int) -> int:
         """Return ``|\\bar{E}(S ∪ v)|`` for a candidate ``v`` in O(1)."""
@@ -324,9 +248,6 @@ class BitsetSearchState:
         O(|candidates| \\ N(v)) bit iteration to bump the non-neighbour
         counters, everything else word-parallel.
         """
-        if self.trail is not None:
-            self.trail.append((v, self.last_added))
-            self.trail_pushes += 1
         bit = 1 << v
         self.cand_bits &= ~bit
         self.solution_bits |= bit
@@ -340,91 +261,11 @@ class BitsetSearchState:
     def remove_candidate(self, v: int) -> None:
         """Delete candidate ``v`` from the instance graph ``g``.
 
-        One popcount to keep ``edges_in_graph`` exact — unless the owner
-        enabled :attr:`lazy_edges` (see :meth:`defer_edge_tracking`), in
-        which case a removal is a pure bit-clear and the leaf test counts
-        missing edges on demand.
+        One popcount keeps ``edges_in_graph`` exact.
         """
         bit = 1 << v
-        if self.lazy_edges:
-            if self.trail is not None:
-                self.trail.append(v)
-                self.trail_pushes += 1
-            self.cand_bits &= ~bit
-            return
-        removed_edges = (self.adj[v] & (self.solution_bits | self.cand_bits & ~bit)).bit_count()
-        if self.trail is not None:
-            self.trail.append((-v - 1, removed_edges))
-            self.trail_pushes += 1
-        self.edges_in_graph -= removed_edges
+        self.edges_in_graph -= (self.adj[v] & (self.solution_bits | self.cand_bits & ~bit)).bit_count()
         self.cand_bits &= ~bit
-
-    def defer_edge_tracking(self) -> None:
-        """Stop maintaining ``edges_in_graph`` incrementally.
-
-        Afterwards removals are pure bit-clears, ``edges_in_graph`` is
-        stale, and every edge-count query (:meth:`total_edges`,
-        :meth:`total_missing`, :meth:`is_defective_clique`) recomputes what
-        it needs on demand — :meth:`is_defective_clique` with an early exit
-        that is far cheaper than per-removal maintenance under heavy
-        reduction churn.  Used by the trail engine, which removes (and
-        rewinds) each candidate many times along different branches.
-        """
-        self.lazy_edges = True
-
-    # ------------------------------------------------------------------ #
-    # Trail (undo stack)
-    # ------------------------------------------------------------------ #
-    def begin_trail(self) -> list:
-        """Install (and return) an empty trail; subsequent transitions record onto it."""
-        self.trail = []
-        return self.trail
-
-    def trail_mark(self) -> int:
-        """Return the current trail position (pass to :meth:`rewind_to`)."""
-        trail = self.trail
-        assert trail is not None, "trail_mark() requires begin_trail()"
-        return len(trail)
-
-    def rewind_to(self, mark: int) -> int:
-        """Undo every transition recorded after ``mark``; return how many were popped.
-
-        Entries are popped LIFO, so each inverse runs against exactly the
-        state that existed right after its forward operation — which is what
-        lets the inverse recompute the ``non_nbrs`` / ``missing_in_solution``
-        deltas instead of storing them.
-        """
-        trail = self.trail
-        assert trail is not None, "rewind_to() requires begin_trail()"
-        adj = self.adj
-        non_nbrs = self.non_nbrs
-        popped = 0
-        while len(trail) > mark:
-            entry = trail.pop()
-            popped += 1
-            if type(entry) is int:
-                # Lazy-mode candidate removal: restoring the bit is all there is.
-                self.cand_bits |= 1 << entry
-                continue
-            v, aux = entry
-            if v < 0:
-                # Tracked candidate removal: restore the bit and the edge count.
-                self.cand_bits |= 1 << (-v - 1)
-                self.edges_in_graph += aux
-                continue
-            # Inverse of add_to_solution(v): decrement the very counters
-            # the forward op incremented (cand_bits still excludes v
-            # here, exactly as it did right after the forward update).
-            bit = 1 << v
-            for u in bits_of(self.cand_bits & ~adj[v]):
-                non_nbrs[u] -= 1
-            self.solution.pop()
-            self.solution_bits &= ~bit
-            self.cand_bits |= bit
-            self.missing_in_solution -= non_nbrs[v]
-            self.last_added = aux
-        self.trail_pops += popped
-        return popped
 
     # ------------------------------------------------------------------ #
     # Invariant checking (used by tests)
@@ -438,11 +279,10 @@ class BitsetSearchState:
         assert self.solution_bits == mask_of(self.solution), "solution_bits out of sync with solution list"
         assert not (self.solution_bits & self.cand_bits), "solution and candidates overlap"
         verts = self.solution_bits | self.cand_bits
-        if not self.lazy_edges:
-            edges = sum((self.adj[v] & verts).bit_count() for v in iter_bits(verts)) // 2
-            assert edges == self.edges_in_graph, (
-                f"edge count mismatch: cached {self.edges_in_graph}, actual {edges}"
-            )
+        edges = sum((self.adj[v] & verts).bit_count() for v in iter_bits(verts)) // 2
+        assert edges == self.edges_in_graph, (
+            f"edge count mismatch: cached {self.edges_in_graph}, actual {edges}"
+        )
         sol = self.solution
         missing = 0
         for i, u in enumerate(sol):

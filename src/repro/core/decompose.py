@@ -156,9 +156,8 @@ def solve_anchor(
     The shared per-anchor body of the sequential driver and the parallel
     driver's workers and lost-worker recovery loop: an anchor rejected by
     :func:`build_ego_subproblem` counts in ``stats.subproblems_pruned``,
-    any other runs one engine search (counted in ``stats.subproblems``) —
-    the engine selected by ``config.engine`` — growing ``incumbent`` in
-    place.
+    any other runs one engine search (counted in ``stats.subproblems``),
+    growing ``incumbent`` in place.
     """
     sub = build_ego_subproblem(view, v, len(incumbent), k, stats)
     if sub is None:

@@ -25,55 +25,6 @@ list which the engine grows in place whenever it finds a larger k-defective
 clique.  The degeneracy decomposition in :mod:`repro.core.decompose` exploits
 this to thread one global lower bound through hundreds of ego subproblems, so
 RR5/UB pruning discards most of them without branching.
-
-Trail engine invariants
------------------------
-``SolverConfig.engine`` selects between two drivers.  ``"copy"`` is the
-original copy-per-child engine: the include branch copies the whole state,
-the exclude branch mutates it in place, and every node re-runs full
-reduction sweeps and a fresh coloring.  ``"trail"`` (the default) keeps ONE
-mutable state for the whole search and makes a node's cost proportional to
-what changed, resting on three invariants:
-
-1. **Trail (undo stack).**  Every ``add_to_solution`` / ``remove_candidate``
-   pushes a reversible delta onto the state's trail
-   (:meth:`BitsetSearchState.rewind_to` pops them LIFO).  The engine takes a
-   mark at node entry and rewinds to it when the node's subtree is explored,
-   so after any branch+backtrack the state is restored bit-for-bit — the
-   push/pop property tests pin exactly this.
-
-2. **Dirty-vertex worklists.**  Reductions are re-run only over vertices an
-   event could actually have re-enabled (:class:`ReductionWorklist`):
-
-   * RR1 (``|\\bar{N}_S(v)| > k - |\\bar{E}(S)|``) can newly fire only after
-     a vertex ``w`` joins ``S`` — for every candidate if the budget shrank
-     (``non_nbrs[w] > 0``), else only for ``cand \\ N(w)``;
-   * RR2 can newly fire only after a *removal* ``u`` (the removal shrinks a
-     candidate's non-neighbourhood inside ``g``), and only for
-     ``cand \\ N(u)`` — additions monotonically disqualify;
-   * RR5 (degree < ``lb - k``) can newly fire only for neighbours of a
-     removed vertex, or for everyone when the incumbent (hence the
-     threshold) rose since the inherited fixpoint — the engine tracks the
-     lower bound each node's RR5 fixpoint was computed at and fully dirties
-     RR5 when a node starts with a larger incumbent;
-   * RR3 and RR4 are global (sorted-prefix / pairwise-with-``last_added``)
-     rules: they keep rule-level dirty flags driven by the same events.
-
-   A vertex is removed from a queue either by being scanned (counted in
-   ``SearchStats.dirty_drained``) or by leaving the instance graph.
-
-3. **Repairable coloring bound.**  UB1's colour classes are kept as
-   bitmasks.  Deleting vertices keeps every class an independent set, so a
-   child *repairs* the inherited classes (one ``&`` per class against the
-   surviving candidates) instead of recoloring.  A full degree-ordered
-   recolor runs when the staleness counter trips
-   ``SolverConfig.recolor_period`` — or earlier, when the repaired bound
-   lands within :data:`_RECOLOR_MARGIN` of the incumbent, i.e. exactly when
-   a tighter partition could still prune (``recolor_full`` /
-   ``recolor_repair`` count both paths).  With ``recolor_period=1`` the
-   trail engine recolors every node and is node-for-node identical to the
-   copy engine — the lockstep differential tests run exactly that
-   configuration.
 """
 
 from __future__ import annotations
@@ -85,7 +36,6 @@ from .config import SolverConfig
 from .result import SearchStats
 
 __all__ = [
-    "ReductionWorklist",
     "bitset_rr1",
     "bitset_rr2",
     "bitset_rr3",
@@ -101,101 +51,19 @@ __all__ = [
     "BitsetEngine",
 ]
 
-#: "Every vertex" sentinel for dirty masks (``-1 & cand_bits == cand_bits``).
-_ALL_DIRTY = -1
-
-#: Trail engine: when a *repaired* coloring bound lands within this margin
-#: above the incumbent, a fresh (tighter) coloring might still prune, so the
-#: node escalates to a full recolor; further above, staleness cannot change
-#: the outcome and the repair is the whole cost.
-_RECOLOR_MARGIN = 1
-
-
-class ReductionWorklist:
-    """Per-node dirty-vertex queues driving worklist-mode reductions.
-
-    One bitmask per vertex-local rule (``rr1``, ``rr2``, ``rr5``); a set bit
-    means the vertex must be re-examined by that rule before the node's
-    reductions are at fixpoint.  :data:`_ALL_DIRTY` (``-1``) marks every
-    vertex dirty.  The rules notify the worklist of the two events that
-    propagate dirtiness (see the module docstring's protocol).
-
-    The two global rules have no per-vertex queues of their own; the caller
-    seeds their initial work instead: ``rr3`` (bool) requests the RR3 sweep,
-    ``rr4`` is the candidate mask RR4 may scan (``_ALL_DIRTY`` for a full
-    sweep, typically ``adj[b]`` on an exclude transition).  Rule progress
-    inside the drain re-requests RR3 exactly as the flag protocol does.
-    """
-
-    __slots__ = ("rr1", "rr2", "rr5", "rr3", "rr4")
-
-    def __init__(
-        self, rr1: int = 0, rr2: int = 0, rr5: int = 0,
-        rr3: bool = True, rr4: int = _ALL_DIRTY,
-    ) -> None:
-        self.rr1 = rr1
-        self.rr2 = rr2
-        self.rr5 = rr5
-        self.rr3 = rr3
-        self.rr4 = rr4
-
-    def note_removed_batch(self, state: BitsetSearchState, adj_and: int, adj_or: int) -> None:
-        """Batched :meth:`note_removed` for a whole removal sweep.
-
-        ``adj_and`` / ``adj_or`` are the intersection / union of the removed
-        vertices' adjacency rows.  For the *surviving* candidates
-        ``cand & ~adj_and`` equals the union of the per-removal
-        ``cand & ~adj[u]`` events, so one batched update costs two word-ops
-        total instead of two per removal.
-        """
-        self.rr2 |= state.cand_bits & ~adj_and
-        self.rr5 |= adj_or
-
-    def note_added(self, state: BitsetSearchState, v: int) -> None:
-        """Vertex ``v`` joined ``S``: dirty RR1 (everyone if the budget shrank)."""
-        if state.non_nbrs[v]:
-            self.rr1 = _ALL_DIRTY
-        else:
-            self.rr1 |= state.cand_bits & ~state.adj[v]
-
 
 # --------------------------------------------------------------------------- #
 # Reduction rules
 # --------------------------------------------------------------------------- #
-def bitset_rr1(
-    state: BitsetSearchState,
-    stats: Optional[SearchStats] = None,
-    mask: Optional[int] = None,
-    worklist: Optional[ReductionWorklist] = None,
-) -> int:
-    """RR1 (excess-removal): drop candidates whose inclusion would exceed ``k`` missing edges.
-
-    With ``mask`` only the masked candidates are scanned (worklist mode);
-    a vertex outside the mask provably cannot violate RR1 given the
-    previously reached fixpoint.
-    """
+def bitset_rr1(state: BitsetSearchState, stats: Optional[SearchStats] = None) -> int:
+    """RR1 (excess-removal): drop candidates whose inclusion would exceed ``k`` missing edges."""
     budget = state.k - state.missing_in_solution
-    adj = state.adj
     non_nbrs = state.non_nbrs
     removed = 0
-    adj_and = _ALL_DIRTY
-    adj_or = 0
-    if mask is None:
-        scan_list = state.candidate_list()
-    else:
-        scan_list = bits_of(state.cand_bits & mask)
-        if stats is not None:
-            stats.dirty_drained += len(scan_list)
-    for v in scan_list:
+    for v in state.candidate_list():
         if non_nbrs[v] > budget:
             state.remove_candidate(v)
-            if worklist is not None:
-                adj_v = adj[v]
-                adj_and &= adj_v
-                adj_or |= adj_v
             removed += 1
-    if removed and worklist is not None:
-        worklist.note_removed_batch(state, adj_and, adj_or)
     if stats is not None:
         stats.count_reduction("RR1", removed)
     return removed
@@ -204,48 +72,27 @@ def bitset_rr1(
 def bitset_rr2(
     state: BitsetSearchState,
     stats: Optional[SearchStats] = None,
-    mask: Optional[int] = None,
-    worklist: Optional[ReductionWorklist] = None,
     root_degrees: Optional[List[int]] = None,
 ) -> int:
     """RR2 (high-degree): greedily move candidates adjacent to all but ≤ 1 vertex of ``g`` into ``S``.
-
-    With ``mask`` only the masked candidates are examined.  The invariant
-    maintained by the worklist protocol is that every currently-qualifying
-    candidate is in the mask, so the lowest qualifying vertex inside the
-    mask is the lowest qualifying vertex overall — the greedy pick is
-    identical to a full scan.  A scanned non-qualifier is dropped from the
-    mask: additions can only disqualify further, and any removal that could
-    re-qualify it re-dirties it through :meth:`ReductionWorklist.note_removed`.
 
     ``root_degrees`` (each vertex's degree in the engine's root instance)
     enables an exact integer-only pre-filter: qualification means
     ``deg_g(v) >= |V(g)| - 2``, and degrees only shrink, so
     ``root_degrees[v] < |V(g)| - 2`` proves non-qualification without
-    touching a bitmask — which is what keeps RR2 cheap on sparse instances,
-    where nearly every removal dirties nearly every candidate.
+    touching a bitmask — which is what keeps RR2 cheap on sparse instances.
     """
     adj = state.adj
     non_nbrs = state.non_nbrs
     moved = 0
-    pending = _ALL_DIRTY if mask is None else mask
-    masked = mask is not None
     progress = True
     while progress:
         progress = False
         verts = state.solution_bits | state.cand_bits
         budget = state.k - state.missing_in_solution
         min_degree = verts.bit_count() - 2 if root_degrees is not None else 0
-        if masked:
-            scan_list = bits_of(state.cand_bits & pending)
-            if stats is not None:
-                stats.dirty_drained += len(scan_list)
-        else:
-            scan_list = state.candidate_list()
-        for v in scan_list:
+        for v in state.candidate_list():
             if root_degrees is not None and root_degrees[v] < min_degree:
-                # Removing one of v's *neighbours* shrinks |V(g)| and can
-                # re-qualify v, so v must stay in the pending mask.
                 continue
             # "adjacent to all but at most one vertex of g": the non-neighbour
             # mask of v inside g (minus v itself) has at most one bit set.
@@ -253,15 +100,11 @@ def bitset_rr2(
                 others = (verts & ~adj[v]) ^ (1 << v)
                 if not (others & (others - 1)):
                     state.add_to_solution(v)
-                    if worklist is not None:
-                        worklist.note_added(state, v)
                     moved += 1
                     progress = True
                     # Moving a vertex into S changes the non-neighbour
                     # counters of the remaining candidates: restart the scan.
                     break
-            if masked:
-                pending &= ~(1 << v)
     if stats is not None and moved:
         stats.rr2_additions += moved
     return moved
@@ -271,13 +114,8 @@ def bitset_rr3(
     state: BitsetSearchState,
     lower_bound: int,
     stats: Optional[SearchStats] = None,
-    worklist: Optional[ReductionWorklist] = None,
 ) -> int:
-    """RR3 (degree-sequence-based): remove candidates that UB3 proves useless.
-
-    A global sorted-prefix rule, so it has no per-vertex worklist; it only
-    *feeds* the worklist with its removals.
-    """
+    """RR3 (degree-sequence-based): remove candidates that UB3 proves useless."""
     needed = lower_bound - len(state.solution)
     cand = state.cand_bits
     if needed < 0 or not cand:
@@ -293,20 +131,10 @@ def bitset_rr3(
     prefix_cost = sum(code >> shift for code in ordered[:needed])
     threshold = state.slack() - prefix_cost
     removed = 0
-    adj = state.adj
-    adj_and = _ALL_DIRTY
-    adj_or = 0
     for code in ordered[needed:]:
         if (code >> shift) > threshold:
-            v = code & id_mask
-            state.remove_candidate(v)
-            if worklist is not None:
-                adj_v = adj[v]
-                adj_and &= adj_v
-                adj_or |= adj_v
+            state.remove_candidate(code & id_mask)
             removed += 1
-    if removed and worklist is not None:
-        worklist.note_removed_batch(state, adj_and, adj_or)
     if stats is not None:
         stats.count_reduction("RR3", removed)
     return removed
@@ -316,19 +144,12 @@ def bitset_rr4(
     state: BitsetSearchState,
     lower_bound: int,
     stats: Optional[SearchStats] = None,
-    worklist: Optional[ReductionWorklist] = None,
-    mask: Optional[int] = None,
     root_degrees: Optional[List[int]] = None,
 ) -> int:
     """RR4 (second-order): pairwise bound with the last-added solution vertex.
 
     Semantically identical to :func:`repro.core.reductions.apply_rr4`; the
     neighbourhood intersections become single ``&``/popcount operations.
-
-    With ``mask`` only the masked candidates are examined — a sound
-    restriction (RR4 only discards provably useless vertices), used by the
-    trail engine on exclude transitions: removing ``b`` lowers the pairwise
-    bound mostly for ``b``'s neighbours, so they are the profitable scan.
 
     ``root_degrees`` enables an exact integer-only shortcut: with
     ``cn <= min(nu_total, deg(v))`` and ``tail <= slack_v``, a candidate
@@ -350,16 +171,10 @@ def bitset_rr4(
     total = cand.bit_count() - 1
     base = len(state.solution) + 1
 
-    if mask is None:
-        scan_list = state.candidate_list()
-    else:
-        scan_list = bits_of(cand & mask)
-        if stats is not None:
-            stats.dirty_drained += len(scan_list)
     # Set membership beats a per-candidate wide right-shift of the bitmask.
     u_nbr_set = set(bits_of(u_nbrs_in_cand))
     to_remove: List[int] = []
-    for v in scan_list:
+    for v in state.candidate_list():
         missing_s_prime = missing + non_nbrs[v]
         if missing_s_prime > k:
             continue  # RR1 will remove it
@@ -386,16 +201,8 @@ def bitset_rr4(
         if base + cn + tail <= lower_bound:
             to_remove.append(v)
 
-    adj_and = _ALL_DIRTY
-    adj_or = 0
     for v in to_remove:
         state.remove_candidate(v)
-        if worklist is not None:
-            adj_v = adj[v]
-            adj_and &= adj_v
-            adj_or |= adj_v
-    if to_remove and worklist is not None:
-        worklist.note_removed_batch(state, adj_and, adj_or)
     if stats is not None:
         stats.count_reduction("RR4", len(to_remove))
     return len(to_remove)
@@ -405,71 +212,32 @@ def bitset_rr5(
     state: BitsetSearchState,
     lower_bound: int,
     stats: Optional[SearchStats] = None,
-    mask: Optional[int] = None,
-    worklist: Optional[ReductionWorklist] = None,
 ) -> Tuple[int, bool]:
     """RR5 (degree / core): remove candidates of degree < ``lb - k`` in the instance graph.
 
     Returns ``(removed, prune)``; ``prune`` is ``True`` when a *solution*
     vertex violates the degree requirement.
-
-    With ``mask`` only the masked vertices (candidates *and* solution
-    members) are examined; the removal cascade is drained internally — each
-    removal dirties its surviving neighbours — so the unique core fixpoint
-    is reached exactly as with a full sweep.
     """
     threshold = lower_bound - state.k
     if threshold <= 0:
         return 0, False
     adj = state.adj
     removed = 0
-
-    if mask is None:
-        progress = True
-        while progress:
-            progress = False
-            verts = state.solution_bits | state.cand_bits
-            for u in state.solution:
-                if (adj[u] & verts).bit_count() < threshold:
-                    if stats is not None:
-                        stats.count_reduction("RR5", removed)
-                    return removed, True
-            for v in state.candidate_list():
-                if (adj[v] & verts).bit_count() < threshold:
-                    state.remove_candidate(v)
-                    verts = state.solution_bits | state.cand_bits
-                    removed += 1
-                    progress = True
-        if stats is not None:
-            stats.count_reduction("RR5", removed)
-        return removed, False
-
-    pending = mask
-    adj_and = _ALL_DIRTY
-    while pending:
+    progress = True
+    while progress:
+        progress = False
         verts = state.solution_bits | state.cand_bits
-        sol_scan = bits_of(pending & state.solution_bits)
-        cand_scan = bits_of(pending & state.cand_bits)
-        if stats is not None:
-            stats.dirty_drained += len(sol_scan) + len(cand_scan)
-        pending = 0
-        for u in sol_scan:
+        for u in state.solution:
             if (adj[u] & verts).bit_count() < threshold:
                 if stats is not None:
                     stats.count_reduction("RR5", removed)
                 return removed, True
-        for v in cand_scan:
+        for v in state.candidate_list():
             if (adj[v] & verts).bit_count() < threshold:
                 state.remove_candidate(v)
                 verts = state.solution_bits | state.cand_bits
-                # The cascade re-examines the removed vertex's neighbours;
-                # RR2 dirtiness is published once, after the drain.
-                adj_v = adj[v]
-                adj_and &= adj_v
-                pending |= adj_v
                 removed += 1
-    if removed and worklist is not None:
-        worklist.rr2 |= state.cand_bits & ~adj_and
+                progress = True
     if stats is not None:
         stats.count_reduction("RR5", removed)
     return removed, False
@@ -482,7 +250,6 @@ def bitset_apply_reductions(
     stats: Optional[SearchStats] = None,
     rr1_dirty: bool = True,
     rr5_dirty: bool = True,
-    worklist: Optional[ReductionWorklist] = None,
     root_degrees: Optional[List[int]] = None,
 ) -> bool:
     """Exhaustively apply the enabled reduction rules (Line 4 of Algorithms 1/2).
@@ -506,61 +273,12 @@ def bitset_apply_reductions(
     ``rr5_dirty=False`` (the branch moved one vertex into ``S``, changing no
     degree and no incumbent) for the *initial* state of the flags.
 
-    In **worklist mode** (``worklist`` given, as the trail engine does) the
-    rule-level flags become the per-vertex dirty masks of the
-    :class:`ReductionWorklist`: a rule runs only while its queue is
-    non-empty and scans only the queued vertices, draining the queue instead
-    of sweeping all candidates.  ``rr1_dirty`` / ``rr5_dirty`` are ignored —
-    the caller encodes the branch transition in the initial masks.  RR3 and
-    RR4 are full-candidate sweeps by nature, so the worklist seeds them
-    per-node instead (``worklist.rr3`` / ``worklist.rr4``): the trail engine
-    runs them in full where ``S`` grew, the incumbent rose, or the staleness
-    counter tripped, and restricts RR4 to the removed vertex's neighbours on
-    other exclude transitions.  Restricting or skipping a reduction is
-    always sound (rules only discard provably useless candidates); it
-    trades a few extra nodes for much cheaper ones.
-
     This skips the full verification pass the dict/set backend pays at every
     node.  Returns ``True`` when RR5 proves the instance can be discarded.
     """
     use_rr5 = config.use_rr5
     use_rr3 = config.use_rr3
     rr4_pending = config.use_rr4
-
-    if worklist is not None:
-        wl = worklist
-        rr3_dirty = use_rr3 and wl.rr3
-        rr4_mask = wl.rr4 if rr4_pending else 0
-        while wl.rr1 or wl.rr2 or (use_rr5 and wl.rr5) or rr3_dirty or rr4_mask:
-            if wl.rr1:
-                mask = wl.rr1
-                wl.rr1 = 0
-                if bitset_rr1(state, stats, mask=mask, worklist=wl):
-                    rr3_dirty = use_rr3
-            if wl.rr2:
-                mask = wl.rr2
-                wl.rr2 = 0
-                if bitset_rr2(state, stats, mask=mask, worklist=wl, root_degrees=root_degrees):
-                    rr3_dirty = use_rr3
-            if use_rr5 and wl.rr5:
-                mask = wl.rr5
-                wl.rr5 = 0
-                removed, prune = bitset_rr5(state, lower_bound, stats, mask=mask, worklist=wl)
-                if prune:
-                    return True
-                if removed:
-                    rr3_dirty = use_rr3
-            if rr3_dirty:
-                rr3_dirty = False
-                bitset_rr3(state, lower_bound, stats, worklist=wl)
-            if rr4_mask:
-                mask = None if rr4_mask == _ALL_DIRTY else rr4_mask
-                rr4_mask = 0
-                if bitset_rr4(state, lower_bound, stats, worklist=wl, mask=mask,
-                              root_degrees=root_degrees):
-                    rr3_dirty = use_rr3
-        return False
-
     rr2_dirty = True
     rr5_dirty = rr5_dirty and use_rr5
     rr3_dirty = use_rr3
@@ -596,7 +314,6 @@ def bitset_apply_reductions(
                 rr5_dirty = use_rr5
                 rr3_dirty = use_rr3
     return False
-
 
 # --------------------------------------------------------------------------- #
 # Upper bounds
@@ -645,8 +362,7 @@ def bitset_ub1_from_classes(state: BitsetSearchState, class_masks: Sequence[int]
     ``class_masks`` may be stale — each class is intersected with the
     current candidate set, so any partition whose union covers the
     candidates yields a valid bound (vertex deletions only shrink
-    independent sets).  This is what lets the trail engine *repair* an
-    inherited coloring instead of rebuilding it.
+    independent sets).
 
     Every selectable weight lies in ``0..budget``, so a counting sort
     replaces the global sort; within a class the weight ``cost + j`` is
@@ -692,8 +408,7 @@ def bitset_ub1_improved_coloring(
     Colour classes are bitmasks; the "is this class independent from v"
     test of the greedy coloring is a single ``&`` against ``adj[v]``.
     Composition of :func:`bitset_color_classes` and
-    :func:`bitset_ub1_from_classes` (the trail engine calls them separately
-    so it can cache and repair the classes across branches).
+    :func:`bitset_ub1_from_classes`.
     """
     if state.slack() < 0:
         return len(state.solution)
@@ -796,23 +511,14 @@ def bitset_select_branching_vertex(
 
 
 # --------------------------------------------------------------------------- #
-# Branch-and-bound engines
+# Branch-and-bound engine
 # --------------------------------------------------------------------------- #
-#: Trail-engine stack frame tags.
-_F_ENTER = 0    # process the node the state is currently positioned at
-_F_EXCLUDE = 1  # rewind to the node's post-reduction mark, remove b, then process
-_F_UNWIND = 2   # node fully explored: rewind to its entry mark
-
-
 class BitsetEngine:
     """Branch-and-bound over :class:`BitsetSearchState` with a shared incumbent.
 
-    ``config.engine`` selects the driver: ``"trail"`` runs the undo-stack
-    engine (one mutable state, worklist reductions, repairable coloring —
-    see the module docstring), ``"copy"`` the original copy-per-child
-    engine.  Both visit nodes in the same recursive DFS order (node, include
-    subtree, exclude subtree) and are exact; with
-    ``config.recolor_period == 1`` they are node-for-node identical.
+    Each node's include branch works on a copy of the state and the exclude
+    branch mutates the state in place, so a child never has to undo its
+    parent's changes.
 
     Parameters
     ----------
@@ -831,13 +537,6 @@ class BitsetEngine:
     to_global:
         Optional mapping from this engine's local vertex ids to the caller's
         id space; identity when ``None``.
-
-    Attributes
-    ----------
-    trace:
-        Optional list; when set (by tests) the engine appends
-        ``(solution_bits, cand_bits)`` at every node entry, capturing the
-        exact DFS sequence for lockstep comparison.
     """
 
     def __init__(
@@ -853,7 +552,6 @@ class BitsetEngine:
         self.check_budget = check_budget
         self.incumbent = incumbent
         self.to_global = to_global
-        self.trace: Optional[List[Tuple[int, int]]] = None
 
     def run(
         self,
@@ -878,7 +576,7 @@ class BitsetEngine:
 
         Notes
         -----
-        Both engines are driven by an explicit stack rather than recursion:
+        The search is driven by an explicit stack rather than recursion:
         instances are popped and processed in exactly the recursive DFS
         order (node, then its include subtree, then its exclude subtree),
         so arbitrarily deep branches need no ``sys.setrecursionlimit``
@@ -892,203 +590,12 @@ class BitsetEngine:
         # shrink down the tree, so these upper bounds power the exact
         # integer-only pre-filters of RR2 and RR4 at every node.
         root_degrees = [(row & vertices_bits).bit_count() for row in adj]
-        if self.config.engine == "trail":
-            self._run_trail(state, root_degrees)
-        else:
-            self._run_copy(state, root_degrees)
-
-    # -------------------------------------------------------------- #
-    def _run_trail(self, state: BitsetSearchState, root_degrees: List[int]) -> None:
-        """The undo-stack engine: one mutable state, cost proportional to change.
-
-        Stack frames carry the *plan* of the DFS, not state snapshots:
-        ``ENTER`` processes the node the state is currently positioned at,
-        ``EXCLUDE`` rewinds to the owning node's post-reduction mark and
-        performs the exclude branch, ``UNWIND`` rewinds to the owning
-        node's entry mark once both subtrees are explored.  Every frame's
-        rewind target was recorded while expanding the owning node, so an
-        interrupt (budget) can simply abandon the state.
-        """
-        stats = self.stats
-        state.begin_trail()
-        # Removals vastly outnumber nodes in the trail engine (each is also
-        # rewound and redone along sibling branches), so per-removal edge
-        # maintenance loses to an on-demand, early-exit leaf test.
-        state.defer_edge_tracking()
-        try:
-            self._trail_loop(state, root_degrees)
-        finally:
-            # Budget interrupts abandon the state mid-rewind; the counters
-            # must still reach the stats (the solve reports optimal=False).
-            stats.trail_pushes += state.trail_pushes
-            stats.trail_pops += state.trail_pops
-
-    def _trail_loop(self, state: BitsetSearchState, root_degrees: List[int]) -> None:
         config = self.config
         stats = self.stats
         check_budget = self.check_budget
-        incumbent = self.incumbent
-        trace = self.trace
-        use_rr5 = config.use_rr5
-        use_ub1 = config.use_ub1
-        use_ub2 = config.use_ub2
-        use_ub3 = config.use_ub3
-        recolor_period = config.recolor_period
-
-        # ENTER:   (tag, depth, rr1_mask, rr2_mask, rr5_mask, rr5_lb, classes, stale)
-        # EXCLUDE: (tag, depth, branch_vertex, mark_red, rr5_lb, classes, stale)
-        # UNWIND:  (tag, mark)
-        # The root starts at the staleness boundary so its first node is a
-        # "heavy" node: full recolor plus the RR3/RR4 sweeps.
-        stack: List[tuple] = [
-            (_F_ENTER, 1, _ALL_DIRTY, _ALL_DIRTY, _ALL_DIRTY, 0, None, recolor_period)
-        ]
-        while stack:
-            frame = stack.pop()
-            tag = frame[0]
-            if tag == _F_UNWIND:
-                state.rewind_to(frame[1])
-                continue
-            if tag == _F_EXCLUDE:
-                _, depth, b, mark_red, rr5_lb, classes, stale = frame
-                state.rewind_to(mark_red)
-                state.remove_candidate(b)
-                rr1_mask = 0
-                rr2_mask = state.cand_bits & ~state.adj[b]
-                rr5_mask = state.adj[b]
-                fresh_s = False
-            else:
-                _, depth, rr1_mask, rr2_mask, rr5_mask, rr5_lb, classes, stale = frame
-                fresh_s = True
-
-            check_budget()
-            stats.nodes += 1
-            if depth > stats.max_depth:
-                stats.max_depth = depth
-            if trace is not None:
-                trace.append((state.solution_bits, state.cand_bits))
-
-            mark0 = state.trail_mark()
-            lb_used = len(incumbent)
-            lb_rose = lb_used > rr5_lb
-            if use_rr5 and lb_rose:
-                # The (lb - k)-core threshold rose since the inherited RR5
-                # fixpoint: every vertex may newly violate it.
-                rr5_mask = _ALL_DIRTY
-            # The global RR3/RR4 sweeps fire almost exclusively where S grew
-            # (a fresh last_added gives RR4 new information; RR3's reserved
-            # prefix shifts when |S| or the incumbent does).  On other
-            # exclude transitions RR3 is deferred to the next staleness
-            # boundary and RR4 scans only the removed vertex's neighbours —
-            # the candidates whose pairwise bound the removal lowered.
-            recolor = stale >= recolor_period
-            heavy = fresh_s or recolor or lb_rose
-            worklist = ReductionWorklist(
-                rr1_mask, rr2_mask, rr5_mask,
-                rr3=heavy, rr4=_ALL_DIRTY if heavy else rr5_mask,
-            )
-            if bitset_apply_reductions(
-                state, config, lower_bound=lb_used, stats=stats,
-                worklist=worklist, root_degrees=root_degrees,
-            ):
-                state.rewind_to(mark0)
-                continue
-
-            cand_list = state.candidate_list()
-            if state.is_defective_clique(cand_list):
-                stats.leaves += 1
-                self._record(state.graph_vertices())
-                state.rewind_to(mark0)
-                continue
-
-            incumbent_len = len(incumbent)
-            if use_ub2 and bitset_ub2_min_degree(state) <= incumbent_len:
-                stats.prunes_by_bound += 1
-                state.rewind_to(mark0)
-                continue
-            if use_ub3 and bitset_ub3_degree_sequence(state, cand_list) <= incumbent_len:
-                stats.prunes_by_bound += 1
-                state.rewind_to(mark0)
-                continue
-
-            degrees = None
-            if use_ub1:
-                if not recolor and classes is not None:
-                    # Repair: deletions only shrink classes, so intersecting
-                    # with the surviving candidates keeps a valid partition.
-                    cand = state.cand_bits
-                    classes = [m for m in (cmask & cand for cmask in classes) if m]
-                    stats.recolor_repair += 1
-                    ub1 = bitset_ub1_from_classes(state, classes)
-                    if ub1 <= incumbent_len:
-                        stats.prunes_by_bound += 1
-                        state.rewind_to(mark0)
-                        continue
-                    # A fresh coloring is only worth paying for when it could
-                    # change the outcome: the repaired bound landed close
-                    # enough to the incumbent that a tighter partition might
-                    # prune after all.  Far above the incumbent, staleness is
-                    # harmless and the repair is the whole cost.
-                    recolor = ub1 <= incumbent_len + _RECOLOR_MARGIN
-                if recolor or classes is None:
-                    recolor = True
-                    degrees = self._degree_scan(state, cand_list)
-                    classes = bitset_color_classes(state, cand_list, degrees)
-                    stats.recolor_full += 1
-                    if bitset_ub1_from_classes(state, classes) <= incumbent_len:
-                        stats.prunes_by_bound += 1
-                        state.rewind_to(mark0)
-                        continue
-
-            # The partial solution S itself is a valid k-defective clique.
-            self._record(state.solution)
-
-            # At repair nodes BR computes the degrees it needs lazily (only
-            # the tie-break candidates), skipping the full scan.
-            branching_vertex = bitset_select_branching_vertex(state, degrees, cand_list)
-            if branching_vertex is None:
-                state.rewind_to(mark0)
-                continue
-
-            # Include branch first (recursive DFS order): perform the add now
-            # and queue the exclude branch + the final unwind beneath it.
-            child_stale = 1 if recolor else stale + 1
-            mark_red = state.trail_mark()
-            stack.append((_F_UNWIND, mark0))
-            stack.append(
-                (_F_EXCLUDE, depth + 1, branching_vertex, mark_red,
-                 lb_used, classes, child_stale)
-            )
-            state.add_to_solution(branching_vertex)
-            if state.non_nbrs[branching_vertex]:
-                rr1_child = _ALL_DIRTY  # the missing-edge budget shrank
-            else:
-                rr1_child = state.cand_bits & ~state.adj[branching_vertex]
-            stack.append(
-                (_F_ENTER, depth + 1, rr1_child, 0, 0,
-                 lb_used, classes, child_stale)
-            )
-
-    @staticmethod
-    def _degree_scan(state: BitsetSearchState, cand_list: List[int]) -> List[int]:
-        """Instance-graph degrees of the candidates (shared by UB1's coloring order and BR)."""
-        adj_rows = state.adj
-        verts = state.solution_bits | state.cand_bits
-        degrees = [0] * len(adj_rows)
-        for v in cand_list:
-            degrees[v] = (adj_rows[v] & verts).bit_count()
-        return degrees
-
-    # -------------------------------------------------------------- #
-    def _run_copy(self, state: BitsetSearchState, root_degrees: List[int]) -> None:
-        """The original copy-per-child engine (differential baseline)."""
-        config = self.config
-        stats = self.stats
-        check_budget = self.check_budget
-        trace = self.trace
         # Stack frames: (state, depth, rr1_dirty, rr5_dirty).  Pushing the
         # exclude branch below the include branch reproduces the recursive
-        # visit order, so both engines explore — and prune — identically.
+        # visit order.
         stack: List[Tuple[BitsetSearchState, int, bool, bool]] = [(state, 1, True, True)]
         while stack:
             state, depth, rr1_dirty, rr5_dirty = stack.pop()
@@ -1096,8 +603,6 @@ class BitsetEngine:
             stats.nodes += 1
             if depth > stats.max_depth:
                 stats.max_depth = depth
-            if trace is not None:
-                trace.append((state.solution_bits, state.cand_bits))
 
             # Line 4: reduction rules.  The dirty flags encode how this state
             # was reached (see bitset_apply_reductions): an exclude branch
@@ -1158,6 +663,16 @@ class BitsetEngine:
             state.remove_candidate(branching_vertex)
             stack.append((state, depth + 1, False, True))
             stack.append((left, depth + 1, True, len(self.incumbent) != lb_used))
+
+    @staticmethod
+    def _degree_scan(state: BitsetSearchState, cand_list: List[int]) -> List[int]:
+        """Instance-graph degrees of the candidates (shared by UB1's coloring order and BR)."""
+        adj_rows = state.adj
+        verts = state.solution_bits | state.cand_bits
+        degrees = [0] * len(adj_rows)
+        for v in cand_list:
+            degrees[v] = (adj_rows[v] & verts).bit_count()
+        return degrees
 
     # -------------------------------------------------------------- #
     def _record(self, vertices: List[int]) -> None:

@@ -15,10 +15,9 @@ them to a :mod:`multiprocessing` pool:
   and the candidate filters everywhere else;
 * the best *vertices* stay worker-local and travel back to the parent with
   each finished batch, where they are merged into the caller's incumbent;
-* each worker solves its ego subproblems with the engine selected by
-  ``SolverConfig.engine`` (the trail undo-stack engine by default); the
-  trail/worklist counters a batch collects are merged into the parent's
-  :class:`~repro.core.result.SearchStats` with everything else.
+* each worker solves its ego subproblems with
+  :class:`~repro.core.fastpath.BitsetEngine`; the counters a batch collects
+  are merged into the parent's :class:`~repro.core.result.SearchStats`.
 
 Shared state is deliberately crash-tolerant: the best-size and node-counter
 cells are *raw* (lockless) shared values read without any lock, and the

@@ -65,22 +65,6 @@ class SearchStats:
     #: degraded to sequential by lost-worker recovery reports 1, so timing
     #: consumers never over-state parallelism.
     workers: int = 0
-    #: bitset engine that ran ("trail" or "copy"; "" when the bitset backend
-    #: never ran)
-    engine: str = ""
-    #: trail engine: reversible deltas pushed onto the undo stack
-    trail_pushes: int = 0
-    #: trail engine: deltas popped while backtracking
-    trail_pops: int = 0
-    #: trail engine: vertices drained from the reduction worklist's dirty
-    #: queues (the worklist twin of "candidates scanned per node")
-    dirty_drained: int = 0
-    #: trail engine: coloring-bound full recolors (staleness counter tripped
-    #: or no cached classes)
-    recolor_full: int = 0
-    #: trail engine: coloring-bound repairs (cached classes intersected with
-    #: the surviving candidates instead of recoloring)
-    recolor_repair: int = 0
     #: milliseconds spent preparing (relabel + heuristic + RR5/RR6
     #: preprocessing + degeneracy order) *for this call*: the full prepare
     #: cost for a plain ``solve``, the (near-zero) artifact-lookup cost for a
@@ -121,12 +105,6 @@ class SearchStats:
             "subproblems_pruned_deficit": self.subproblems_pruned_deficit,
             "subproblems_restored": self.subproblems_restored,
             "workers": self.workers,
-            "engine": self.engine,
-            "trail_pushes": self.trail_pushes,
-            "trail_pops": self.trail_pops,
-            "dirty_drained": self.dirty_drained,
-            "recolor_full": self.recolor_full,
-            "recolor_repair": self.recolor_repair,
             "prepare_ms": self.prepare_ms,
             "queue_ms": self.queue_ms,
             "solve_ms": self.solve_ms,
@@ -157,11 +135,6 @@ class SearchStats:
         self.subproblems_pruned += other.subproblems_pruned
         self.subproblems_pruned_cycle_rank += other.subproblems_pruned_cycle_rank
         self.subproblems_pruned_deficit += other.subproblems_pruned_deficit
-        self.trail_pushes += other.trail_pushes
-        self.trail_pops += other.trail_pops
-        self.dirty_drained += other.dirty_drained
-        self.recolor_full += other.recolor_full
-        self.recolor_repair += other.recolor_repair
         for rule, count in other.reductions.items():
             self.count_reduction(rule, count)
 

@@ -299,12 +299,19 @@ class TestCheckpointRobustness:
         a = checkpoint_meta("d", 2, "kDC", CONFIG)
         assert checkpoint_token(a) == checkpoint_token(dict(a))
         for field, value in [
-            ("digest", "e"), ("k", 3), ("algorithm", "kDC-t"),
-            ("engine", "copy"), ("backend", "set"),
+            ("digest", "e"), ("k", 3), ("algorithm", "kDC-t"), ("backend", "set"),
         ]:
             changed = dict(a)
             changed[field] = value
             assert checkpoint_token(changed) != checkpoint_token(a)
+
+    def test_parent_format_meta_token_never_matches(self):
+        # Journals written while the bitset engine was selectable carry an
+        # "engine" field in their meta; they must never be resumed.
+        current = checkpoint_meta("d", 2, "kDC", CONFIG)
+        assert "engine" not in current
+        parent = dict(current, engine="trail")
+        assert checkpoint_token(parent) != checkpoint_token(current)
 
     def test_journal_survives_pickle_protocol_noise(self, tmp_path, meta):
         """A record that unpickles to garbage is ignored, not fatal."""

@@ -42,7 +42,7 @@ class TestParser:
         args = build_parser().parse_args(
             [
                 "experiments", "run", "--db", "x.sqlite", "--k", "1", "3",
-                "--backends", "bitset", "--engines", "trail", "copy",
+                "--backends", "bitset",
                 "--workers", "1", "2", "--max-cells", "5", "--no-resume",
             ]
         )
@@ -50,7 +50,6 @@ class TestParser:
         assert args.db == "x.sqlite"
         assert args.k == [1, 3]
         assert args.backends == ["bitset"]
-        assert args.engines == ["trail", "copy"]
         assert args.workers == [1, 2]
         assert args.max_cells == 5
         assert args.no_resume

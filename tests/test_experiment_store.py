@@ -20,28 +20,27 @@ from repro.cli import main
 from repro.exceptions import InvalidParameterError
 
 
-def _keyfields(instance="g0", k=1, algorithm="kDC", backend="bitset", engine="trail", workers=1):
+def _keyfields(instance="g0", k=1, algorithm="kDC", backend="bitset", workers=1):
     return {
         "collection": "synthetic",
         "instance": instance,
         "k": k,
         "algorithm": algorithm,
         "backend": backend,
-        "engine": engine,
         "workers": workers,
     }
 
 
 def _seed_run(store, label, cells):
-    """Record one synthetic run; each cell is (instance, backend, engine, nps).
+    """Record one synthetic run; each cell is (instance, backend, nps).
 
     Every row takes 1 synthetic second, so node throughput == nodes == nps.
     """
     run_id = store.begin_run(label=label)
-    for instance, backend, engine, nps in cells:
+    for instance, backend, nps in cells:
         store.record(
             run_id,
-            _keyfields(instance=instance, backend=backend, engine=engine),
+            _keyfields(instance=instance, backend=backend),
             {
                 "size": 5,
                 "optimal": True,
@@ -51,6 +50,35 @@ def _seed_run(store, label, cells):
         )
     store.finish_run(run_id)
     return run_id
+
+
+#: The ``experiments`` table as stores created while the bitset engine was
+#: selectable laid it out: an ``engine`` keyfield inside the UNIQUE key.
+_ENGINE_ERA_EXPERIMENTS = """
+CREATE TABLE experiments (
+    experiment_id   INTEGER PRIMARY KEY AUTOINCREMENT,
+    run_id          INTEGER NOT NULL REFERENCES runs(run_id),
+    collection      TEXT NOT NULL DEFAULT '',
+    instance        TEXT NOT NULL,
+    k               INTEGER NOT NULL DEFAULT -1,
+    algorithm       TEXT NOT NULL DEFAULT '',
+    backend         TEXT NOT NULL DEFAULT '',
+    engine          TEXT NOT NULL DEFAULT '',
+    workers         INTEGER NOT NULL DEFAULT 0,
+    size            INTEGER,
+    optimal         INTEGER,
+    nodes           INTEGER,
+    elapsed_seconds REAL,
+    node_throughput REAL,
+    prepare_ms      REAL,
+    queue_ms        REAL,
+    solve_ms        REAL,
+    cache_hit       INTEGER,
+    extra           TEXT NOT NULL DEFAULT '{}',
+    created_unix    REAL NOT NULL,
+    UNIQUE (run_id, collection, instance, k, algorithm, backend, engine, workers)
+);
+"""
 
 
 class TestExperimentStore:
@@ -102,6 +130,33 @@ class TestExperimentStore:
                     run_id, _keyfields(), {"nodes": 30}, on_conflict="fail"
                 )
 
+    def test_engine_era_store_still_opens_records_and_compares(self, tmp_path):
+        import sqlite3
+
+        path = str(tmp_path / "old.sqlite")
+        conn = sqlite3.connect(path)
+        conn.executescript(_ENGINE_ERA_EXPERIMENTS)
+        conn.close()
+        with ExperimentStore(path) as store:
+            old = store.begin_run(label="old")
+            with sqlite3.connect(path) as raw:
+                raw.execute(
+                    "INSERT INTO experiments (run_id, collection, instance, k, algorithm,"
+                    " backend, engine, workers, nodes, elapsed_seconds, node_throughput,"
+                    " created_unix) VALUES (?, 'synthetic', 'g0', 1, 'kDC', 'bitset',"
+                    " 'trail', 1, 800, 1.0, 800.0, 0.0)",
+                    (old,),
+                )
+            store.finish_run(old)
+            new = _seed_run(store, "new", [("g0", "bitset", 700)])
+            assert store.has_cell(new, _keyfields())
+            rows = store.rows(new)
+            assert len(rows) == 1 and rows[0]["engine"] == ""
+            report = compare_runs(store.rows(old), rows)
+            assert report.ok
+            assert [c.backend for c in report.cells] == ["bitset"]
+            assert report.cells[0].ratio == pytest.approx(700 / 800)
+
     def test_zero_elapsed_has_no_throughput(self):
         with ExperimentStore() as store:
             run_id = store.begin_run()
@@ -143,15 +198,14 @@ class TestExperimentStore:
             "nodes": 100,
             "backend": "bitset",
             "workers": 1,
-            "engine": "trail",
-            "trail_pushes": 17,
+            "subproblems": 17,
             "prepare_ms": 1.5,
         }
         keyfields, resultfields, extra = split_record(record)
         assert set(keyfields) == set(KEYFIELDS)
         assert resultfields["optimal"] is True  # "solved" is mapped
         assert resultfields["prepare_ms"] == 1.5
-        assert extra == {"trail_pushes": 17}
+        assert extra == {"subproblems": 17}
 
 
 @pytest.fixture
@@ -163,7 +217,6 @@ def smoke_spec():
         k_values=(1,),
         algorithms=("kDC",),
         backends=("set", "bitset"),
-        engines=("trail",),
         workers=(1,),
         time_limit=5.0,
         instance_limit=2,
@@ -173,14 +226,12 @@ def smoke_spec():
 class TestMatrixRunner:
     def test_grid_normalisation(self, smoke_spec):
         cells = smoke_spec.cell_keyfields(smoke_spec.instances())
-        assert len(cells) == 4  # 2 instances x {set(engine collapsed), bitset:trail}
-        set_cells = [c for c in cells if c["backend"] == "set"]
-        assert all(c["engine"] == "" for c in set_cells)
+        assert len(cells) == 4  # 2 instances x {set, bitset}
+        assert all(set(c) == set(KEYFIELDS) for c in cells)
         baseline_spec = MatrixSpec(
             collections=("facebook_like",),
             algorithms=("kDC", "KDBB"),
             backends=("bitset",),
-            engines=("trail",),
             instance_limit=1,
         )
         cells = baseline_spec.cell_keyfields(baseline_spec.instances())
@@ -196,7 +247,6 @@ class TestMatrixRunner:
             k_values=(2,),  # only k differs
             algorithms=("kDC",),
             backends=("set", "bitset"),
-            engines=("trail",),
             workers=(1,),
             time_limit=5.0,
             instance_limit=2,
@@ -286,10 +336,10 @@ class TestMatrixRunner:
 
 class TestCompareRuns:
     CELLS = [
-        ("g0", "set", "", 100),
-        ("g1", "set", "", 120),
-        ("g0", "bitset", "trail", 800),
-        ("g1", "bitset", "trail", 1000),
+        ("g0", "set", 100),
+        ("g1", "set", 120),
+        ("g0", "bitset", 800),
+        ("g1", "bitset", 1000),
     ]
 
     def test_identical_rerun_passes(self):
@@ -299,15 +349,15 @@ class TestCompareRuns:
             report = compare_runs(store.rows(base), store.rows(cand))
             assert isinstance(report, ComparisonReport)
             assert report.ok
-            assert len(report.cells) == 2  # (set, "") and (bitset, trail)
+            assert len(report.cells) == 2  # set and bitset
             assert "PASS" in report.format_table()
 
     def test_regression_over_threshold_fails(self):
         degraded = [
-            ("g0", "set", "", 100),
-            ("g1", "set", "", 120),
-            ("g0", "bitset", "trail", 600),  # median 800 -> 650: -18.75%...
-            ("g1", "bitset", "trail", 700),  # both down: median 900 -> 650, -27.8%
+            ("g0", "set", 100),
+            ("g1", "set", 120),
+            ("g0", "bitset", 600),  # median 800 -> 650: -18.75%...
+            ("g1", "bitset", 700),  # both down: median 900 -> 650, -27.8%
         ]
         with ExperimentStore() as store:
             base = _seed_run(store, "base", self.CELLS)
@@ -315,7 +365,7 @@ class TestCompareRuns:
             report = compare_runs(store.rows(base), store.rows(cand), threshold=0.20)
             assert not report.ok
             regressed = report.regressions
-            assert [(c.backend, c.engine) for c in regressed] == [("bitset", "trail")]
+            assert [c.backend for c in regressed] == ["bitset"]
             assert regressed[0].ratio == pytest.approx(650 / 900)
             assert "FAIL" in report.format_table()
             # the set cell did not move and stays green
@@ -323,7 +373,7 @@ class TestCompareRuns:
             assert not set_cell.regressed
 
     def test_small_drop_within_threshold_passes(self):
-        slightly_slower = [(i, b, e, nps * 0.9) for i, b, e, nps in self.CELLS]
+        slightly_slower = [(i, b, nps * 0.9) for i, b, nps in self.CELLS]
         with ExperimentStore() as store:
             base = _seed_run(store, "base", self.CELLS)
             cand = _seed_run(store, "cand", slightly_slower)
@@ -333,21 +383,21 @@ class TestCompareRuns:
         with ExperimentStore() as store:
             base = _seed_run(store, "base", self.CELLS)
             cand = store.begin_run(label="cand")
-            for instance, backend, engine, nps in self.CELLS:
+            for instance, backend, nps in self.CELLS:
                 store.record(
                     cand,
-                    _keyfields(instance=instance, backend=backend, engine=engine),
+                    _keyfields(instance=instance, backend=backend),
                     {"nodes": int(nps), "elapsed_seconds": 1.0},
                 )
             # poison rows that would tank the medians if they counted
             store.record(
                 cand,
-                _keyfields(instance="cached", backend="bitset", engine="trail"),
+                _keyfields(instance="cached", backend="bitset"),
                 {"nodes": 1_000_000, "elapsed_seconds": 0.001, "cache_hit": True},
             )
             store.record(
                 cand,
-                _keyfields(instance="preprocessed-away", backend="bitset", engine="trail"),
+                _keyfields(instance="preprocessed-away", backend="bitset"),
                 {"nodes": 0, "elapsed_seconds": 0.5},
             )
             report = compare_runs(store.rows(base), store.rows(cand))
@@ -357,8 +407,8 @@ class TestCompareRuns:
 
     def test_one_sided_cells_never_flag(self):
         with ExperimentStore() as store:
-            base = _seed_run(store, "base", [("g0", "set", "", 100)])
-            cand = _seed_run(store, "cand", [("g0", "bitset", "trail", 100)])
+            base = _seed_run(store, "base", [("g0", "set", 100)])
+            cand = _seed_run(store, "cand", [("g0", "bitset", 100)])
             report = compare_runs(store.rows(base), store.rows(cand))
             assert report.ok
             assert len(report.cells) == 2
@@ -377,7 +427,7 @@ class TestExperimentsCli:
             "--collections", "facebook_like", "--scale", "tiny",
             "--instance-limit", "1", "--k", "1",
             "--algorithms", "kDC", "--backends", "set", "bitset",
-            "--engines", "trail", "--workers", "1", "--time-limit", "5",
+            "--workers", "1", "--time-limit", "5",
             *extra,
         ]
 
@@ -412,7 +462,7 @@ class TestExperimentsCli:
         cells = TestCompareRuns.CELLS
         with ExperimentStore(db) as store:
             _seed_run(store, "base", cells)
-            _seed_run(store, "cand", [(i, b, e, nps * 0.5) for i, b, e, nps in cells])
+            _seed_run(store, "cand", [(i, b, nps * 0.5) for i, b, nps in cells])
         assert main(["experiments", "compare", "--db", db]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "REGRESSED" in out
@@ -432,7 +482,7 @@ class TestExperimentsCli:
         capsys.readouterr()
         # regressed candidate against the same baseline store
         with ExperimentStore(candidate_db) as store:
-            _seed_run(store, "cand2", [(i, b, e, nps * 0.5) for i, b, e, nps in cells])
+            _seed_run(store, "cand2", [(i, b, nps * 0.5) for i, b, nps in cells])
         assert (
             main(["experiments", "compare", "--db", candidate_db, "--baseline-db", baseline_db])
             == 1

@@ -114,7 +114,7 @@ class TestResultsJournal:
     def test_append_replay_round_trip(self, state_dir, graph):
         persistence = ServicePersistence(state_dir)
         result = self._solve(graph)
-        key = (graph.content_digest(), K, "kDC", "bitset", "trail")
+        key = (graph.content_digest(), K, "kDC", "bitset")
         persistence.append_result(key, result)
         persistence.append_result(key + ("other",), result)
         persistence.close()
@@ -289,6 +289,25 @@ class TestServiceWarmRestart:
             hit = warm.solve(digest, K)
             assert hit.stats.cache_hit
             assert hit.optimal and hit.size == cold.size and hit.clique == cold.clique
+
+    def test_parent_format_result_record_dropped_on_restart(self, state_dir, graph):
+        # Result journals written while the bitset engine was selectable key
+        # records by (digest, k, algorithm, backend, engine).
+        with SolverService(config=CONFIG, persistence=ServicePersistence(state_dir)) as service:
+            digest = service.store.add(graph)
+            cold = service.solve(digest, K)
+        persistence = ServicePersistence(state_dir)
+        persistence.rewrite_results([((digest, K, "kDC", "bitset", "trail"), cold)])
+        persistence.close()
+
+        with SolverService(config=CONFIG, persistence=ServicePersistence(state_dir)) as warm:
+            assert warm.stats()["restored_results"] == 0
+            fresh = warm.solve(digest, K)
+            assert fresh.optimal and not fresh.stats.cache_hit
+            assert fresh.size == cold.size
+        # The stale record was compacted away; the fresh answer replaced it.
+        entries = ServicePersistence(state_dir).replay_results()
+        assert [key for key, _ in entries] == [(digest, K, "kDC", "bitset")]
 
     def test_non_optimal_results_never_restored(self, state_dir):
         hard = gnp_random_graph(80, 0.4, seed=11)
