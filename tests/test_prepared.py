@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import heapq
 import pickle
 
 import pytest
@@ -16,7 +18,7 @@ from repro.core import (
     variant_config,
 )
 from repro.exceptions import InvalidParameterError
-from repro.graphs import gnp_random_graph
+from repro.graphs import gnm_random_graph, gnp_random_graph
 from repro.graphs.graph import Graph
 
 
@@ -188,3 +190,74 @@ class TestSolvePrepared:
         prepared = prepare_instance(Graph(), 1)
         result = KDCSolver().solve_prepared(prepared)
         assert result.optimal and result.size == 0
+
+
+def _artifact_digest(prepared: PreparedInstance) -> str:
+    """sha256 over every field of the artifact the search consumes, bar ``ordering``."""
+    payload = repr((
+        prepared.heuristic,
+        sorted(prepared.working_adj.items()),
+        prepared.preprocess_removed_vertices,
+        prepared.preprocess_removed_edges,
+        sorted(prepared.preprocess_reductions.items()),
+    ))
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+def _assert_degeneracy_ordering(adj, ordering) -> None:
+    """Each vertex has minimum degree among the vertices not yet peeled."""
+    assert sorted(ordering) == sorted(adj)
+    degree = {v: len(nbrs) for v, nbrs in adj.items()}
+    heap = [(d, v) for v, d in degree.items()]
+    heapq.heapify(heap)
+    peeled = set()
+    for v in ordering:
+        while heap[0][1] in peeled or heap[0][0] != degree[heap[0][1]]:
+            heapq.heappop(heap)
+        assert degree[v] == heap[0][0], v
+        peeled.add(v)
+        for u in adj[v]:
+            if u not in peeled:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
+
+
+#: Artifact digests of the prepare phase, pinned before the set-native
+#: rewrite of the truss peel, Degen-opt and the working graph.
+_PINNED_GNP = {
+    (0, 0): "e02ad07f0762ce9aa819a01e0894f6e2063f5632dbb197679c343a5c53f8fe6b",
+    (0, 2): "a013b5d29e9bb3c53c8f886dfdcb0f6de4d2881fe98376f8a31314e76dd04432",
+    (0, 4): "6533e6cb3b730afdbb7c55b9fc4031258ad3412b6cf8ac1b7a0ccc7eda10d551",
+    (1, 0): "686ad31ae7d0a8244846e1855c2dea0c164ed29a780a8d238d50ad00cb555dc4",
+    (1, 2): "7984623ce633b47a2f8cbe11d2d00d473222316f76f8934626b5a75f0be6c1ce",
+    (1, 4): "7dc6db71dc9908a94a6e1c8510dfcc64e9fb89c4a83a8209edbeb81c5a5d0eb8",
+    (2, 0): "102b1a34a4c6f8061f674044f5e5334fbdf8e5d38c8cf485fb3ad125bfdb109d",
+    (2, 2): "cf55b5cbd7c00b60eeb18daa06de11abb450cb77007d19a689abd8b3be94abf5",
+    (2, 4): "f91d4a2ff911af5a22285462869c9921b9fcee5125e79960a0498a07c21f988a",
+    (3, 0): "350b948ff795a78aebbd21e24f1055e4ac847a2b15de072189eb9105352c23a6",
+    (3, 2): "a09264b765c021c66e2c8941afdacc47de17baaac078bf1de675bbc962974627",
+    (3, 4): "4f24b0f41215b6d7436ad40dd477ce6ab5faaf920058b585174a3e47a968b766",
+    (4, 0): "5bb7ff3986e4da8e749dd4b206fcddf5243e9fab7596009d3cad5e1aaff558e8",
+    (4, 2): "1a8fc416b2d502b8a62ca01801f064da3951a44061bd3bda70b6abd42ed90b6a",
+    (4, 4): "0b7c8f176f7e751d89d31aec4fd12661b9596c261fe7b99ea638b862fd34c7a2",
+    (5, 0): "d2b0ee64893d5f70ba5273bb36565d4f3ebdb137bd96c9800574fbc657dace29",
+    (5, 2): "7d23edb3b198bc5baeb93104601b9c2fd1da1dea61209191c9111f4f6b7252e0",
+    (5, 4): "d847752f6466eff12ab4decc6a61e086163de77640dece2e1f561f56a9ad0563",
+}
+_PINNED_GNM = "c31602a38de31fe41c0c579be3fdd70bb4e12ba25eb994703e24d4cdc94d41bd"
+
+
+class TestPreparedArtifactPinned:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_gnp_artifacts(self, seed, k):
+        prepared = prepare_instance(gnp_random_graph(300, 0.1, seed=seed), k)
+        assert _artifact_digest(prepared) == _PINNED_GNP[seed, k]
+        _assert_degeneracy_ordering(prepared.working_adj, prepared.ordering)
+
+    def test_sparse_gnm_artifact(self):
+        graph = gnm_random_graph(5000, 10000, seed=0)
+        prepared = prepare_instance(graph, 1)
+        assert prepared.preprocess_removed_edges > 0
+        assert _artifact_digest(prepared) == _PINNED_GNM
+        _assert_degeneracy_ordering(prepared.working_adj, prepared.ordering)
