@@ -9,14 +9,22 @@ the preprocessing of the input graph.
 * ``Degen-opt`` (Algorithm 4) additionally runs ``Degen`` inside the subgraph
   induced by every vertex's higher-ranked neighbours and keeps the best of
   the ``n + 1`` solutions; O(δ(G) · m) time.
+
+Both work on plain ``{vertex: neighbour set}`` mappings: the graph's own
+sets for the whole graph, ``{v: N(v) ∩ N⁺(u)}`` for the subgraph of anchor
+``u``.  One bucket peel (:func:`~repro.graphs.degeneracy.bucket_peel`, the
+same one :func:`~repro.graphs.degeneracy.degeneracy_ordering` runs) orders
+each mapping, and one suffix scan counts a vertex's adjacency to the suffix
+as ``len(N(v) & chosen)``.  ``Degen-opt`` peels the whole graph once and
+builds no :class:`~repro.graphs.graph.Graph` per anchor.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import AbstractSet, Callable, List, Mapping, Optional, Set
 
 from ..exceptions import BudgetExceededError
-from ..graphs.degeneracy import degeneracy_ordering
+from ..graphs.degeneracy import bucket_peel
 from ..graphs.graph import Graph, Vertex
 from .defective import validate_k
 
@@ -25,6 +33,33 @@ __all__ = ["degen", "degen_opt", "initial_solution"]
 
 #: How many suffix-scan iterations :func:`degen` runs between budget polls.
 _DEGEN_BUDGET_STRIDE = 2048
+
+
+def _longest_suffix(
+    adj: Mapping[Vertex, AbstractSet[Vertex]],
+    ordering: List[Vertex],
+    k: int,
+    budget_check: Optional[Callable[[], None]],
+) -> List[Vertex]:
+    """The longest suffix of ``ordering`` that is a k-defective clique of ``adj``.
+
+    Scanned from the end, one vertex at a time; see :func:`degen`.
+    """
+    chosen: List[Vertex] = []
+    chosen_set: Set[Vertex] = set()
+    missing = 0
+    for i, v in enumerate(reversed(ordering)):
+        if budget_check is not None and i % _DEGEN_BUDGET_STRIDE == 0 and i:
+            try:
+                budget_check()
+            except BudgetExceededError:
+                break
+        missing += len(chosen) - len(adj[v] & chosen_set)
+        if missing > k:
+            break
+        chosen.append(v)
+        chosen_set.add(v)
+    return chosen
 
 
 def degen(
@@ -45,26 +80,8 @@ def degen(
     returned (callers re-check the budget themselves afterwards).
     """
     validate_k(k)
-    if graph.num_vertices == 0:
-        return []
-    ordering = degeneracy_ordering(graph).ordering
-    chosen: List[Vertex] = []
-    chosen_set: Set[Vertex] = set()
-    missing = 0
-    for i, v in enumerate(reversed(ordering)):
-        if budget_check is not None and i % _DEGEN_BUDGET_STRIDE == 0 and i:
-            try:
-                budget_check()
-            except BudgetExceededError:
-                break
-        adjacent = sum(1 for u in graph.neighbors(v) if u in chosen_set)
-        extra = len(chosen) - adjacent
-        if missing + extra > k:
-            break
-        missing += extra
-        chosen.append(v)
-        chosen_set.add(v)
-    return chosen
+    adj = {v: graph.neighbors(v) for v in graph}
+    return _longest_suffix(adj, bucket_peel(adj)[0], k, budget_check)
 
 
 def degen_opt(
@@ -74,11 +91,16 @@ def degen_opt(
 ) -> List[Vertex]:
     """Algorithm 4: ``Degen`` on the whole graph plus on every higher-neighbourhood subgraph.
 
-    For each vertex ``u``, the subgraph induced by its higher-ranked
-    neighbours ``N⁺(u)`` (w.r.t. the degeneracy ordering) is extracted and
-    ``Degen`` is run inside it; since every vertex of ``N⁺(u)`` is adjacent
-    to ``u``, appending ``u`` to the sub-solution keeps it a k-defective
-    clique.  The largest of the ``n + 1`` solutions is returned.
+    For each vertex ``u``, ``Degen`` runs inside the subgraph induced by its
+    higher-ranked neighbours ``N⁺(u)`` (w.r.t. the degeneracy ordering);
+    since every vertex of ``N⁺(u)`` is adjacent to ``u``, appending ``u`` to
+    the sub-solution keeps it a k-defective clique.  The largest of the
+    ``n + 1`` solutions is returned.
+
+    The whole graph is peeled once, and its order serves both the
+    whole-graph ``Degen`` and the ``N⁺(u)`` sets.  Each subgraph is the plain
+    mapping ``{v: N(v) ∩ N⁺(u)}``, peeled and scanned by the same helpers
+    as :func:`degen`; no :class:`Graph` is built per anchor.
 
     ``budget_check`` (typically the solve run's budget check) is polled once
     per vertex; when it raises
@@ -87,25 +109,27 @@ def degen_opt(
     re-check it themselves afterwards.
     """
     validate_k(k)
-    best = degen(graph, k, budget_check=budget_check)
-    if graph.num_vertices == 0:
-        return best
-    decomposition = degeneracy_ordering(graph)
-    position = decomposition.position
-    for u in decomposition.ordering:
+    adj = {v: graph.neighbors(v) for v in graph}
+    ordering = bucket_peel(adj)[0]
+    best = _longest_suffix(adj, ordering, k, budget_check)
+    position = {v: i for i, v in enumerate(ordering)}
+    for pos_u, u in enumerate(ordering):
         if budget_check is not None:
             try:
                 budget_check()
             except BudgetExceededError:
                 return best
-        pos_u = position[u]
-        higher = [v for v in graph.neighbors(u) if position[v] > pos_u]
+        nbrs = adj[u]
+        if len(nbrs) < len(best):
+            continue  # N⁺(u) ⊆ N(u) is too small already
+        higher = [v for v in nbrs if position[v] > pos_u]
         if len(higher) + 1 <= len(best):
             continue  # even a perfect sub-solution cannot beat the incumbent
-        sub = graph.subgraph(higher)
+        keep = set(higher)
+        sub = {v: adj[v] & keep for v in keep}
         # Forward the budget poll: a hub's ego subgraph can hold millions of
-        # edges, and degen's partial-return semantics make interruption safe.
-        candidate = degen(sub, k, budget_check=budget_check)
+        # edges, and the scan's partial-return semantics make interruption safe.
+        candidate = _longest_suffix(sub, bucket_peel(sub)[0], k, budget_check)
         if len(candidate) + 1 > len(best):
             best = candidate + [u]
     return best

@@ -27,6 +27,11 @@ flags.  Execute-side knobs (backend, workers, budgets, UB/RR toggles
 applied at search nodes) are *not* baked in — one artifact serves every
 backend × workers cell, which is what lets the service answer a
 mixed query stream from a single per-``(graph, k)`` slot.
+
+The prepare phase makes no working copy of the graph.
+:meth:`Graph.relabel <repro.graphs.graph.Graph.relabel>` already returns
+fresh neighbour sets, the heuristic only reads them, and RR5/RR6 then
+reduce that relabeled graph in place; the caller's graph is never touched.
 """
 
 from __future__ import annotations
@@ -271,8 +276,10 @@ def prepare_instance(
     if budget_check is not None:
         budget_check()
 
+    # ``relabel`` built fresh neighbour sets and nothing reads ``relabeled``
+    # after the heuristic, so preprocessing reduces it in place: no copy.
     prep_stats = SearchStats()
-    working = relabeled.copy()
+    working = relabeled
     if config.use_rr5 or config.use_rr6:
         preprocess_graph(
             working,

@@ -9,12 +9,13 @@ degeneracy :math:`\\delta(G)`, and the per-vertex value is its *core number*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Collection, Dict, List, Mapping, Tuple
 
 from .graph import Graph, Vertex
 
 __all__ = [
     "DegeneracyResult",
+    "bucket_peel",
     "degeneracy_ordering",
     "core_numbers",
     "degeneracy",
@@ -58,11 +59,59 @@ class DegeneracyResult:
         return [u for u in graph.neighbors(vertex) if self.position[u] > pos]
 
 
+def bucket_peel(
+    adjacency: Mapping[Vertex, Collection[Vertex]],
+) -> Tuple[List[Vertex], List[int]]:
+    """Peel minimum-degree vertices off ``adjacency`` with a bucket queue.
+
+    ``adjacency`` maps every vertex to its neighbours, all of which must be
+    keys themselves (a symmetric adjacency); it is not modified.  Returns
+    the peeling order and, position by position, each vertex's degree at
+    the moment it was peeled.  Runs in O(n + m) time.
+
+    Ties are broken deterministically: the buckets are filled in mapping
+    iteration order and popped last-in first-out, and a vertex whose degree
+    drops is pushed again in neighbour iteration order.  Bucket entries go
+    stale when a degree drops and are skipped when popped; a peeled vertex's
+    degree is set to ``-1`` so none of its entries matches again.
+    """
+    degree: Dict[Vertex, int] = {v: len(nbrs) for v, nbrs in adjacency.items()}
+    if not degree:
+        return [], []
+    buckets: List[List[Vertex]] = [[] for _ in range(max(degree.values()) + 1)]
+    for v, dv in degree.items():
+        buckets[dv].append(v)
+
+    ordering: List[Vertex] = []
+    levels: List[int] = []
+    n = len(degree)
+    d = 0
+    while len(ordering) < n:
+        while not buckets[d]:
+            d += 1
+        v = buckets[d].pop()
+        if degree[v] != d:
+            continue  # stale bucket entry
+        degree[v] = -1
+        ordering.append(v)
+        levels.append(d)
+        for u in adjacency[v]:
+            du = degree[u]
+            if du > 0:  # a live neighbour still counts its edge to v
+                du -= 1
+                degree[u] = du
+                buckets[du].append(u)
+                if du < d:
+                    d = du
+    return ordering, levels
+
+
 def degeneracy_ordering(graph: Graph) -> DegeneracyResult:
     """Compute a degeneracy ordering with the bucket-based peeling algorithm.
 
-    Runs in O(n + m) time.  Ties are broken by bucket insertion order, which
-    makes the result deterministic for a fixed graph construction order.
+    Runs :func:`bucket_peel` on the graph's neighbour sets in O(n + m) time.
+    Ties are broken by bucket insertion order, which makes the result
+    deterministic for a fixed graph construction order.
 
     Parameters
     ----------
@@ -74,51 +123,18 @@ def degeneracy_ordering(graph: Graph) -> DegeneracyResult:
     DegeneracyResult
         The ordering, per-vertex core numbers, and the degeneracy.
     """
-    n = graph.num_vertices
-    if n == 0:
-        return DegeneracyResult(ordering=[], core_number={}, degeneracy=0, position={})
-
-    degree: Dict[Vertex, int] = graph.degrees()
-    max_degree = max(degree.values())
-
-    # Bucket queue: buckets[d] holds vertices believed to have degree d.
-    # Entries may become stale when a neighbour removal lowers a vertex's
-    # degree; stale entries are skipped when popped.
-    buckets: List[List[Vertex]] = [[] for _ in range(max_degree + 1)]
-    for v, d in degree.items():
-        buckets[d].append(v)
-
-    removed: Set[Vertex] = set()
+    ordering, levels = bucket_peel({v: graph.neighbors(v) for v in graph})
     core_number: Dict[Vertex, int] = {}
-    ordering: List[Vertex] = []
     degeneracy_value = 0
-    d = 0
-
-    while len(ordering) < n:
-        while d <= max_degree and not buckets[d]:
-            d += 1
-        v = buckets[d].pop()
-        if v in removed or degree[v] != d:
-            continue  # stale bucket entry
-
-        removed.add(v)
-        degeneracy_value = max(degeneracy_value, d)
+    for v, d in zip(ordering, levels):
+        if d > degeneracy_value:
+            degeneracy_value = d
         core_number[v] = degeneracy_value
-        ordering.append(v)
-
-        for u in graph.neighbors(v):
-            if u not in removed:
-                degree[u] -= 1
-                buckets[degree[u]].append(u)
-                if degree[u] < d:
-                    d = degree[u]
-
-    position = {v: i for i, v in enumerate(ordering)}
     return DegeneracyResult(
         ordering=ordering,
         core_number=core_number,
         degeneracy=degeneracy_value,
-        position=position,
+        position={v: i for i, v in enumerate(ordering)},
     )
 
 

@@ -10,11 +10,19 @@ The k-truss underlies reduction rule **RR6** of the paper: with a current best
 solution of size ``lb``, every edge of a k-defective clique larger than ``lb``
 must have at least ``lb - k - 1`` common neighbours inside it, so reducing the
 input graph to its ``(lb - k + 1)``-truss is safe.
+
+There is one peel, :func:`truss_reduce_in_place`.  It works on the graph's
+own neighbour sets: each edge's support is computed once as
+``len(N(u) & N(v))`` and kept in per-vertex dicts, an edge is queued once,
+when its support first drops below ``k - 2``, and it is removed from the
+graph as soon as it is popped.  No edge keys are built, so vertex labels
+only need to be hashable.  :func:`k_truss_edges` peels a copy;
+:func:`edge_support` keeps its frozenset-keyed result for callers that
+want every support at once.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .graph import Graph, Vertex
@@ -69,58 +77,9 @@ def k_truss_edges(
     """
     if k <= 2:
         return set(graph.iter_edges())
-
-    threshold = k - 2
-    # Work on a mutable adjacency copy so we can delete edges as we peel.
-    adj: Dict[Vertex, Set[Vertex]] = {v: set(graph.neighbors(v)) for v in graph}
-    support: Dict[_EdgeKey, int] = {}
-    steps = 0
-    for u, v in graph.iter_edges():
-        if budget_check is not None:
-            steps += 1
-            if steps % _BUDGET_STRIDE == 0:
-                budget_check()
-        nu, nv = adj[u], adj[v]
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        support[_key(u, v)] = sum(1 for w in nu if w in nv)
-
-    queue = deque(e for e, s in support.items() if s < threshold)
-    queued = set(queue)
-    alive: Set[_EdgeKey] = set(support)
-
-    steps = 0
-    while queue:
-        e = queue.popleft()
-        if e not in alive:
-            continue
-        if budget_check is not None:
-            steps += 1
-            if steps % _BUDGET_STRIDE == 0:
-                budget_check()
-        alive.discard(e)
-        u, v = tuple(e)
-        adj[u].discard(v)
-        adj[v].discard(u)
-        # Every common neighbour w loses a triangle on edges (u, w) and (v, w).
-        nu, nv = adj[u], adj[v]
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-            u, v = v, u
-        for w in list(nu):
-            if w in nv:
-                for other in (_key(u, w), _key(v, w)):
-                    if other in alive:
-                        support[other] -= 1
-                        if support[other] < threshold and other not in queued:
-                            queue.append(other)
-                            queued.add(other)
-
-    result: Set[Tuple[Vertex, Vertex]] = set()
-    for u, v in graph.iter_edges():
-        if _key(u, v) in alive:
-            result.add((u, v))
-    return result
+    truss = graph.copy()
+    truss_reduce_in_place(truss, k, budget_check=budget_check)
+    return {(u, v) for u, v in graph.iter_edges() if truss.has_edge(u, v)}
 
 
 def k_truss(graph: Graph, k: int) -> Graph:
@@ -141,18 +100,65 @@ def truss_reduce_in_place(
 ) -> int:
     """Reduce ``graph`` to its k-truss in place; return the number of removed edges.
 
+    The peel runs on the graph's own neighbour sets.  Supports live in
+    per-vertex dicts (``support[u][v] == support[v][u]``), each computed
+    once as ``|N(u) ∩ N(v)|``; an edge is queued exactly once, when its
+    support first drops below ``k - 2``, and removed with
+    :meth:`Graph.remove_edge` when popped.  Removing ``(u, v)`` costs one
+    triangle to ``(u, w)`` and ``(v, w)`` for every live common neighbour
+    ``w``.  Labels need not be orderable.
+
     Vertices that lose all incident edges are removed as well (they cannot be
     part of any solution larger than the current lower bound when RR6
     applies, because RR5 is always applied alongside).  ``budget_check`` is
-    forwarded to :func:`k_truss_edges`; if it fires there the graph is left
-    unmodified.
+    polled every few thousand support computations and peel steps; any
+    exception it raises propagates.  Every edge removed by then lies outside
+    the k-truss, so an interrupted graph is still a valid graph that contains
+    the k-truss (possibly with edges and isolated vertices left to remove).
     """
-    keep = k_truss_edges(graph, k, budget_check=budget_check)
+    adj = {v: graph.neighbors(v) for v in graph}
     removed = 0
-    for u, v in list(graph.iter_edges()):
-        if (u, v) not in keep and (v, u) not in keep:
+    if k > 2:
+        threshold = k - 2
+        support: Dict[Vertex, Dict[Vertex, int]] = {v: {} for v in adj}
+        queue: List[Tuple[Vertex, Vertex]] = []
+        steps = 0
+        for u, nu in adj.items():
+            su = support[u]
+            for v in nu:
+                if v in su:
+                    continue  # counted from v's side
+                if budget_check is not None:
+                    steps += 1
+                    if steps % _BUDGET_STRIDE == 0:
+                        budget_check()
+                s = len(nu & adj[v])
+                su[v] = s
+                support[v][u] = s
+                if s < threshold:
+                    queue.append((u, v))
+
+        steps = 0
+        drop = threshold - 1
+        while queue:
+            if budget_check is not None:
+                steps += 1
+                if steps % _BUDGET_STRIDE == 0:
+                    budget_check()
+            u, v = queue.pop()
             graph.remove_edge(u, v)
             removed += 1
-    isolated = [v for v in graph if graph.degree(v) == 0]
-    graph.remove_vertices(isolated)
+            su, sv = support[u], support[v]
+            for w in adj[u] & adj[v]:
+                sw = support[w]
+                s = su[w] - 1
+                su[w] = sw[u] = s
+                if s == drop:
+                    queue.append((u, w))
+                s = sv[w] - 1
+                sv[w] = sw[v] = s
+                if s == drop:
+                    queue.append((v, w))
+
+    graph.remove_vertices([v for v, nbrs in adj.items() if not nbrs])
     return removed

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import BudgetExceededError
 from repro.graphs import (
     Graph,
     complete_graph,
     core_reduce_in_place,
     cycle_graph,
     edge_support,
+    gnm_random_graph,
     gnp_random_graph,
     k_core,
     k_core_vertices,
@@ -137,3 +140,73 @@ class TestKTruss:
         once = k_truss(g, k)
         twice = k_truss(once, k)
         assert set(map(frozenset, once.iter_edges())) == set(map(frozenset, twice.iter_edges()))
+
+    def test_interrupted_peel_leaves_a_valid_graph_holding_the_truss(self):
+        # Few triangles, so the 4-truss peel removes nearly every edge and
+        # polls the budget well inside its loop.
+        original = gnm_random_graph(3000, 12000, seed=8)
+        graph = original.copy()
+        support_polls = original.num_edges // 4096
+        calls = []
+
+        def budget():
+            calls.append(None)
+            if len(calls) == support_polls + 2:  # second poll of the peel loop
+                raise BudgetExceededError("deadline")
+
+        with pytest.raises(BudgetExceededError):
+            truss_reduce_in_place(graph, 4, budget_check=budget)
+        graph.validate()
+        assert graph.num_edges == sum(graph.degree(v) for v in graph) // 2
+        assert 4096 < original.num_edges - graph.num_edges < original.num_edges
+        for u, v in k_truss_edges(original, 4):
+            assert graph.has_edge(u, v)
+
+
+def _naive_truss(graph: Graph, k: int):
+    """Fixed point of "drop every edge in fewer than k - 2 triangles", from scratch each round."""
+    edges = {frozenset(e) for e in graph.iter_edges()}
+    while True:
+        adj = {}
+        for e in edges:
+            u, v = tuple(e)
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        keep = set()
+        for e in edges:
+            u, v = tuple(e)
+            if len(adj[u] & adj[v]) >= k - 2:
+                keep.add(e)
+        if keep == edges:
+            return edges
+        edges = keep
+
+
+@st.composite
+def _labelled_graphs(draw, mixed: bool):
+    n = draw(st.integers(min_value=0, max_value=12))
+    labels = [
+        str(i) if mixed and draw(st.booleans()) else i for i in range(n)
+    ]
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    graph = Graph(vertices=labels)
+    for i, j in draw(st.lists(pairs, max_size=40)) if n else []:
+        if i != j:
+            graph.add_edge(labels[i], labels[j])
+    return graph
+
+
+class TestTrussOracle:
+    @pytest.mark.parametrize("mixed", [False, True], ids=["int", "mixed"])
+    @given(data=st.data(), k=st.integers(min_value=0, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_peel_matches_naive_fixed_point(self, mixed, data, k):
+        graph = data.draw(_labelled_graphs(mixed))
+        expected = _naive_truss(graph, k)
+        assert {frozenset(e) for e in k_truss_edges(graph, k)} == expected
+        reduced = graph.copy()
+        removed = truss_reduce_in_place(reduced, k)
+        reduced.validate()
+        assert {frozenset(e) for e in reduced.iter_edges()} == expected
+        assert removed == graph.num_edges - len(expected)
+        assert reduced.vertex_set() == {v for e in expected for v in e}

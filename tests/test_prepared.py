@@ -18,7 +18,12 @@ from repro.core import (
     variant_config,
 )
 from repro.exceptions import InvalidParameterError
-from repro.graphs import gnm_random_graph, gnp_random_graph
+from repro.graphs import (
+    core_reduce_in_place,
+    gnm_random_graph,
+    gnp_random_graph,
+    truss_reduce_in_place,
+)
 from repro.graphs.graph import Graph
 
 
@@ -88,6 +93,23 @@ class TestPrepareInstance:
         clone = pickle.loads(pickle.dumps(prepared))
         assert clone._cache == {}
         assert clone.ego_view().rows == view.rows
+
+    def test_input_graph_untouched(self):
+        # RR5 and RR6 both remove edges here (RR5 the pendant edges), and
+        # they reduce the relabeled graph in place rather than a working copy.
+        graph = gnp_random_graph(300, 0.1, seed=0)
+        for v in range(10):
+            graph.add_edge(v, f"pendant-{v}")
+        k = 4
+        before = (graph.content_digest(), graph.num_edges, graph.copy())
+        prepared = prepare_instance(graph, k)
+        core = graph.copy()
+        lb = prepared.lower_bound
+        assert core_reduce_in_place(core, lb - k)
+        assert core.num_edges < graph.num_edges
+        assert truss_reduce_in_place(core, lb - k + 1) > 0
+        graph.validate()
+        assert (graph.content_digest(), graph.num_edges, graph) == before
 
     def test_working_graph_round_trip(self, graph):
         prepared = prepare_instance(graph, 1)
