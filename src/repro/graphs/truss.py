@@ -100,13 +100,9 @@ def truss_reduce_in_place(
 ) -> int:
     """Reduce ``graph`` to its k-truss in place; return the number of removed edges.
 
-    The peel runs on the graph's own neighbour sets.  Supports live in
-    per-vertex dicts (``support[u][v] == support[v][u]``), each computed
-    once as ``|N(u) ∩ N(v)|``; an edge is queued exactly once, when its
-    support first drops below ``k - 2``, and removed with
-    :meth:`Graph.remove_edge` when popped.  Removing ``(u, v)`` costs one
-    triangle to ``(u, w)`` and ``(v, w)`` for every live common neighbour
-    ``w``.  Labels need not be orderable.
+    The peel is the one described in the module docstring.  Removing
+    ``(u, v)`` costs one triangle to ``(u, w)`` and ``(v, w)`` for every
+    live common neighbour ``w``.
 
     Vertices that lose all incident edges are removed as well (they cannot be
     part of any solution larger than the current lower bound when RR6

@@ -184,13 +184,11 @@ def _naive_truss(graph: Graph, k: int):
 
 @st.composite
 def _labelled_graphs(draw, mixed: bool):
-    n = draw(st.integers(min_value=0, max_value=12))
-    labels = [
-        str(i) if mixed and draw(st.booleans()) else i for i in range(n)
-    ]
-    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    n = draw(st.integers(min_value=1, max_value=12))
+    labels = [str(i) if mixed and draw(st.booleans()) else i for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     graph = Graph(vertices=labels)
-    for i, j in draw(st.lists(pairs, max_size=40)) if n else []:
+    for i, j in draw(st.lists(pairs, max_size=40)):
         if i != j:
             graph.add_edge(labels[i], labels[j])
     return graph
