@@ -14,6 +14,11 @@ truncate before appending again.  :func:`atomic_write_bytes` is the
 complementary snapshot primitive: write a temp file in the same directory,
 flush + fsync, then atomically rename over the destination, so readers only
 ever observe the old or the new content, never a torn write.
+:class:`Journal` owns one such file and is the only place the lifecycle
+lives: replay (truncating a damaged tail), validate-before-first-append,
+append + flush (+ fsync), compaction via :func:`atomic_write_bytes`, and
+close.  The service's ``results.wal`` and ``deltas.wal`` and every
+:class:`SolveCheckpoint` go through it.
 
 **Subproblem-level solve checkpointing.**  A decomposed solve (see
 :mod:`repro.core.decompose`) is a loop over independent per-vertex ego
@@ -22,7 +27,10 @@ checkpoints well.  :class:`SolveCheckpoint` journals, per completed anchor,
 a ``done`` record (and an ``incumbent`` record whenever the best solution
 grew), so a solve killed mid-loop and restarted against the same ``(digest,
 k, config)`` skips the completed prefix and re-executes only the unfinished
-anchors.  Two disciplines keep the resume exact:
+anchors.  ``SolveCheckpoint(None, meta)`` is the journal-less variant: the
+same completed-anchor and incumbent contract held in memory only (the
+incremental solver's carry-over when it has no checkpoint directory).  Two
+disciplines keep the resume exact:
 
 * the journal's incumbent is **verified before reuse**
   (:meth:`SolveCheckpoint.verified_incumbent` re-checks it is a valid
@@ -58,11 +66,12 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ..testing import chaos as faults
 
 __all__ = [
+    "Journal",
     "JournalScan",
     "SolveCheckpoint",
     "append_record",
@@ -179,6 +188,93 @@ def read_records(path: str) -> JournalScan:
     return JournalScan(records, valid, damaged)
 
 
+class Journal:
+    """One checksummed append-only journal file and its whole lifecycle.
+
+    :meth:`replay` returns the valid payloads and truncates a damaged tail;
+    :meth:`append` never writes behind an unvalidated tail (it scans and
+    truncates first when nothing has validated the file yet), so a record
+    can only ever land on a clean record boundary.  The file counts as
+    validated only after a clean scan, a *successful* truncate or a
+    :meth:`rewrite` — a tail that could not be truncated is re-checked (and
+    the append fails) rather than silently written behind.
+
+    Not thread-safe: owners serialise calls under their own lock.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._fh = None
+        self._validated = False
+
+    def _truncate_tail(self, scan: JournalScan) -> None:
+        """Cut a damaged tail off; the file counts as validated only after."""
+        self._validated = False
+        if scan.damaged:
+            os.truncate(self.path, scan.valid_bytes)
+        self._validated = True
+
+    def replay(self) -> List[bytes]:
+        """Every valid payload, in append order; a damaged tail is truncated.
+
+        A failed truncate is logged, not raised — the valid prefix is still
+        returned, and the next :meth:`append` re-validates the tail.
+        """
+        scan = read_records(self.path)
+        try:
+            self._truncate_tail(scan)
+        except OSError as exc:
+            logger.warning("could not truncate damaged journal %s: %s", self.path, exc)
+        return scan.records
+
+    def append(self, payload: bytes, *, sync: bool = True) -> None:
+        """Append one record and flush it; fsync too when ``sync`` is set."""
+        if not self._validated:
+            self._truncate_tail(read_records(self.path))
+        if self._fh is None:
+            self._fh = open(self.path, "ab")
+        append_record(self._fh, payload)
+        self._fh.flush()
+        if sync:
+            os.fsync(self._fh.fileno())
+
+    def sync(self) -> None:
+        """Flush and fsync the open handle (no-op when nothing is open)."""
+        if self._fh is not None:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+
+    def rewrite(self, payloads: Sequence[bytes]) -> None:
+        """Atomically replace the journal with ``payloads`` (compaction).
+
+        The journal is reopened for appending right away, on the new file.
+        """
+        buffer = io.BytesIO()
+        for payload in payloads:
+            append_record(buffer, payload)
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+        atomic_write_bytes(self.path, buffer.getvalue())
+        self._validated = True
+        self._fh = open(self.path, "ab")
+
+    def close(self) -> None:
+        """Flush, fsync and close the handle (best-effort: ``OSError`` is swallowed)."""
+        fh, self._fh = self._fh, None
+        if fh is None:
+            return
+        try:
+            fh.flush()
+            os.fsync(fh.fileno())
+        except OSError:
+            pass
+        try:
+            fh.close()
+        except OSError:
+            pass
+
+
 # --------------------------------------------------------------------- #
 # Solve checkpoints
 # --------------------------------------------------------------------- #
@@ -209,6 +305,10 @@ def checkpoint_token(meta: Dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
 
 
+def _dumps(record: Any) -> bytes:
+    return pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 class SolveCheckpoint:
     """Append-only journal of one decomposed solve's completed subproblems.
 
@@ -218,6 +318,13 @@ class SolveCheckpoint:
     valid tail), exposing the completed anchors as :attr:`completed` and the
     journaled best solution via :meth:`verified_incumbent`.
 
+    With ``path=None`` the checkpoint is journal-less: the same
+    :attr:`completed` set, incumbent-growth rule, ``checkpoint.append``
+    chaos point and :meth:`verified_incumbent`, held in memory only.  It
+    writes nothing to disk and has nothing to close, so it keeps accepting
+    records after :meth:`close` — a same-process retry can keep extending
+    it.
+
     Thread-safe; write failures (disk full, permissions) disable further
     journaling with a warning instead of failing the solve — checkpointing
     is an accelerator for the *next* run, never a correctness dependency of
@@ -226,7 +333,8 @@ class SolveCheckpoint:
     Parameters
     ----------
     path:
-        Journal file; created (with its meta record) when absent.
+        Journal file; created (with its meta record) when absent.  ``None``
+        for the journal-less variant.
     meta:
         Identity from :func:`checkpoint_meta`.
     sync_every:
@@ -240,7 +348,7 @@ class SolveCheckpoint:
 
     def __init__(
         self,
-        path: str,
+        path: Optional[str],
         meta: Dict[str, Any],
         *,
         sync_every: int = 16,
@@ -256,17 +364,18 @@ class SolveCheckpoint:
         self._since_sync = 0
         self._closed = False
         self._broken = False
-        self._fh = None
-        self._load()
+        self._name = path if path is not None else "<memory>"
+        self._journal = Journal(path) if path is not None else None
+        if self._journal is not None:
+            self._load()
 
     # ------------------------------------------------------------------ #
     def _load(self) -> None:
-        scan = read_records(self.path)
-        fresh = not scan.records
+        records = self._journal.replay()
         mismatch = False
-        if scan.records:
+        if records:
             try:
-                first = pickle.loads(scan.records[0])
+                first = pickle.loads(records[0])
             except Exception:
                 first = None
             if first != ("meta", self.meta):
@@ -276,7 +385,7 @@ class SolveCheckpoint:
                 )
                 mismatch = True
             else:
-                for raw in scan.records[1:]:
+                for raw in records[1:]:
                     try:
                         kind, payload = pickle.loads(raw)
                     except Exception:
@@ -288,29 +397,18 @@ class SolveCheckpoint:
                         self.completed.add(payload)
                     elif kind == "incumbent":
                         self._incumbent = list(payload)
-        if mismatch:
-            self.completed.clear()
-            self._incumbent = None
         # Compact on open: rewrites the journal from the replayed state, so
         # a damaged tail, a stale identity or duplicate records can never
         # sit underneath fresh appends.
-        buffer = io.BytesIO()
-        append_record(buffer, pickle.dumps(("meta", self.meta), protocol=pickle.HIGHEST_PROTOCOL))
+        compacted = [_dumps(("meta", self.meta))]
         if self._incumbent is not None:
-            append_record(
-                buffer,
-                pickle.dumps(("incumbent", tuple(self._incumbent)), protocol=pickle.HIGHEST_PROTOCOL),
-            )
-        for anchor in sorted(self.completed):
-            append_record(buffer, pickle.dumps(("done", anchor), protocol=pickle.HIGHEST_PROTOCOL))
-        atomic_write_bytes(self.path, buffer.getvalue())
-        self._fh = open(self.path, "ab")
-        if fresh or mismatch or scan.damaged:
+            compacted.append(_dumps(("incumbent", tuple(self._incumbent))))
+        compacted.extend(_dumps(("done", anchor)) for anchor in sorted(self.completed))
+        self._journal.rewrite(compacted)
+        if not records or mismatch:
             logger.info(
-                "checkpoint %s opened (%s, %d completed anchor(s))",
-                self.path,
-                "fresh" if fresh or mismatch else "recovered from damaged tail",
-                len(self.completed),
+                "checkpoint %s opened (fresh, %d completed anchor(s))",
+                self.path, len(self.completed),
             )
 
     # ------------------------------------------------------------------ #
@@ -326,7 +424,7 @@ class SolveCheckpoint:
         if not incumbent:
             return []
         if len(set(incumbent)) != len(incumbent):
-            logger.warning("checkpoint %s: journaled incumbent has duplicates; discarded", self.path)
+            logger.warning("checkpoint %s: journaled incumbent has duplicates; discarded", self._name)
             return []
         missing = 0
         try:
@@ -338,22 +436,19 @@ class SolveCheckpoint:
         except Exception:
             logger.warning(
                 "checkpoint %s: journaled incumbent references unknown vertices; discarded",
-                self.path,
+                self._name,
             )
             return []
         if missing > k:
             logger.warning(
                 "checkpoint %s: journaled incumbent is not a valid %d-defective clique "
                 "(%d missing edges); discarded",
-                self.path, k, missing,
+                self._name, k, missing,
             )
             return []
         return list(incumbent)
 
     # ------------------------------------------------------------------ #
-    def _append(self, record: Tuple[str, Any]) -> None:
-        append_record(self._fh, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
-
     def record(self, anchor: int, incumbent: Sequence[int]) -> None:
         """Journal one *completed* anchor (and the incumbent, if it grew).
 
@@ -370,20 +465,23 @@ class SolveCheckpoint:
             # here models a crash between anchors, with exactly
             # ``count`` completed anchors durable in the journal.
             faults.fire("checkpoint.append", anchor=anchor, count=len(self.completed))
-            try:
-                if self._incumbent is None or len(incumbent) > len(self._incumbent):
-                    self._incumbent = list(incumbent)
-                    self._append(("incumbent", tuple(self._incumbent)))
-                self._append(("done", anchor))
-                self._fh.flush()
-                self.completed.add(anchor)
-                self._since_sync += 1
-                if self._since_sync >= self.sync_every:
-                    os.fsync(self._fh.fileno())
-                    self._since_sync = 0
-            except OSError as exc:
-                self._broken = True
-                logger.warning("checkpoint %s: write failed (%s); journaling disabled", self.path, exc)
+            grew = self._incumbent is None or len(incumbent) > len(self._incumbent)
+            if grew:
+                self._incumbent = list(incumbent)
+            if self._journal is not None:
+                try:
+                    if grew:
+                        self._journal.append(_dumps(("incumbent", tuple(incumbent))), sync=False)
+                    self._journal.append(_dumps(("done", anchor)), sync=False)
+                    self._since_sync += 1
+                    if self._since_sync >= self.sync_every:
+                        self._journal.sync()
+                        self._since_sync = 0
+                except OSError as exc:
+                    self._broken = True
+                    logger.warning("checkpoint %s: write failed (%s); journaling disabled", self.path, exc)
+                    return
+            self.completed.add(anchor)
 
     def record_batch(self, anchors: Sequence[int], incumbent: Sequence[int]) -> None:
         """Journal a batch of completed anchors, then fsync once."""
@@ -394,11 +492,10 @@ class SolveCheckpoint:
     def sync(self) -> None:
         """Force the journal to stable storage (best-effort)."""
         with self._lock:
-            if self._closed or self._broken or self._fh is None:
+            if self._closed or self._broken or self._journal is None:
                 return
             try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
+                self._journal.sync()
                 self._since_sync = 0
             except OSError as exc:
                 self._broken = True
@@ -415,25 +512,14 @@ class SolveCheckpoint:
 
     def _teardown(self, unlink: bool) -> None:
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            if self._fh is not None:
-                try:
-                    self._fh.flush()
-                    os.fsync(self._fh.fileno())
-                except OSError:
-                    pass
-                try:
-                    self._fh.close()
-                except OSError:
-                    pass
-                self._fh = None
-            if unlink:
-                try:
-                    os.unlink(self.path)
-                except OSError:
-                    pass
+            if self._journal is not None and not self._closed:
+                self._closed = True
+                self._journal.close()
+                if unlink:
+                    try:
+                        os.unlink(self.path)
+                    except OSError:
+                        pass
         if self._on_release is not None:
             callback, self._on_release = self._on_release, None
             callback()

@@ -9,9 +9,9 @@ subproblems the delta can have invalidated (see
 shared incumbent from the re-verified previous optimum and carrying every
 unaffected anchor over as already-completed — the same journal contract
 :func:`repro.core.decompose.solve_decomposed` honours for crash resume, so
-the carry-over store *is* a :class:`~repro.core.checkpoint.SolveCheckpoint`
-when a ``checkpoint_dir`` is given (a killed incremental re-solve resumes
-mid-delta) and an in-memory equivalent when not.
+the carry-over store is always a :class:`~repro.core.checkpoint.SolveCheckpoint`:
+durable when a ``checkpoint_dir`` is given (a killed incremental re-solve
+resumes mid-delta), journal-less (``SolveCheckpoint(None, meta)``) when not.
 
 Exactness is non-negotiable and rests on three guards, all enforced here:
 
@@ -41,7 +41,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.checkpoint import SolveCheckpoint, checkpoint_meta, checkpoint_token
 from ..core.decompose import EgoView, solve_decomposed
@@ -56,56 +56,6 @@ from .delta import EdgeDelta, affected_anchors, apply_delta
 logger = logging.getLogger(__name__)
 
 __all__ = ["DeltaSolveReport", "IncrementalSolver"]
-
-
-class _MemoryCarry:
-    """In-memory stand-in for :class:`SolveCheckpoint`'s journal contract.
-
-    The decomposition drivers only need ``completed``,
-    ``verified_incumbent``, ``record``/``record_batch`` and the lifecycle
-    no-ops; keeping the same duck type means the incremental re-solve code
-    is identical whether the carry-over store is durable or not.
-    """
-
-    def __init__(self) -> None:
-        self.completed: Set[int] = set()
-        self._incumbent: List[int] = []
-
-    def verified_incumbent(self, neighbors: Callable[[int], Sequence[int]], k: int) -> List[int]:
-        vs = self._incumbent
-        if not vs or len(set(vs)) != len(vs):
-            return []
-        missing = 0
-        try:
-            for i, u in enumerate(vs):
-                nbrs = set(neighbors(u))
-                missing += sum(1 for w in vs[i + 1:] if w not in nbrs)
-        except Exception:
-            return []
-        return list(vs) if missing <= k else []
-
-    def record(self, anchor: int, incumbent: Sequence[int]) -> None:
-        if anchor in self.completed:
-            return
-        # Same chaos point (and context) as SolveCheckpoint.record, so fault
-        # scripts drive the durable and in-memory carries identically.
-        faults.fire("checkpoint.append", anchor=anchor, count=len(self.completed))
-        self.completed.add(anchor)
-        if len(incumbent) > len(self._incumbent):
-            self._incumbent = list(incumbent)
-
-    def record_batch(self, anchors: Sequence[int], incumbent: Sequence[int]) -> None:
-        for anchor in anchors:
-            self.record(anchor, incumbent)
-
-    def sync(self) -> None:  # pragma: no cover - trivial
-        pass
-
-    def close(self) -> None:  # pragma: no cover - trivial
-        pass
-
-    def complete(self) -> None:
-        pass
 
 
 @dataclass
@@ -187,7 +137,7 @@ class IncrementalSolver:
         # Carry-over store of a crashed/raised apply(), keyed by the
         # successor digest it was re-solving toward: retrying the same delta
         # resumes instead of restarting.
-        self._pending: Optional[Tuple[str, _MemoryCarry]] = None
+        self._pending: Optional[Tuple[str, SolveCheckpoint]] = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -460,34 +410,32 @@ class IncrementalSolver:
     # ------------------------------------------------------------------ #
     # Carry-over store
     # ------------------------------------------------------------------ #
-    def _open_carry(self, succ_digest: str, unaffected: Sequence[int]):
+    def _open_carry(self, succ_digest: str, unaffected: Sequence[int]) -> SolveCheckpoint:
         """The carry-over journal for one successor re-solve.
 
-        Durable (:class:`SolveCheckpoint`) when a ``checkpoint_dir`` is set,
-        in-memory otherwise; either way the journal holds only the
-        *affected* anchors completed so far — the unaffected set is
+        Durable when a ``checkpoint_dir`` is set, journal-less otherwise (or
+        when the durable one cannot be opened); either way the journal holds
+        only the *affected* anchors completed so far — the unaffected set is
         recomputed deterministically from the delta on every attempt and
         merged in before the drivers snapshot ``completed``, so a resumed
         attempt skips both carried-over and already-re-solved anchors.
         """
+        meta = checkpoint_meta(
+            succ_digest, self._k, f"{self._solver.name}-incremental", self._solver.config
+        )
         carry = None
         if self.checkpoint_dir is not None:
             try:
                 os.makedirs(self.checkpoint_dir, exist_ok=True)
-                meta = checkpoint_meta(
-                    succ_digest, self._k, f"{self._solver.name}-incremental",
-                    self._solver.config,
-                )
                 path = os.path.join(self.checkpoint_dir, f"{checkpoint_token(meta)}.wal")
                 carry = SolveCheckpoint(path, meta)
-            except OSError as exc:  # pragma: no cover - disk trouble
+            except OSError as exc:
                 logger.warning("incremental carry-over journal unavailable: %s", exc)
-                carry = None
         if carry is None:
             if self._pending is not None and self._pending[0] == succ_digest:
                 carry = self._pending[1]
             else:
-                carry = _MemoryCarry()
+                carry = SolveCheckpoint(None, meta)
             self._pending = (succ_digest, carry)
         carry.completed.update(unaffected)
         return carry

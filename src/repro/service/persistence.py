@@ -17,7 +17,8 @@ pattern:
     optimal completions are rare events).  On startup the journal is
     replayed; a truncated or checksum-corrupt tail (the normal residue of a
     crash mid-append) is discarded with a warning and the file truncated
-    back to its valid prefix, never a fatal error.
+    back to its valid prefix, never a fatal error.  An append never lands
+    behind a tail that could not be truncated.
 
 ``checkpoints/<token>.wal``
     One :class:`~repro.core.checkpoint.SolveCheckpoint` journal per
@@ -32,8 +33,12 @@ pattern:
     :class:`~repro.service.store.GraphStore` to re-link the digest chain —
     and to rebuild any successor graph whose own snapshot a crash cut off,
     since the WAL is append-ordered and a whole chain re-materializes from
-    one surviving ancestor snapshot.  Same damaged-tail truncation policy
-    as ``results.wal``.
+    one surviving ancestor snapshot.
+
+Both WALs and every checkpoint are a :class:`~repro.core.checkpoint.Journal`,
+so the damaged-tail policy (replay, truncate, validate before the first
+append, flush + fsync) is one code path; this module only pickles and
+unpickles around it.
 
 Every load path is defensive: an unreadable snapshot or journal entry is
 skipped with a warning — durable state accelerates a restart, it must never
@@ -46,20 +51,18 @@ killing requests).
 from __future__ import annotations
 
 import hashlib
-import io
 import logging
 import os
 import pickle
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..core.checkpoint import (
+    Journal,
     SolveCheckpoint,
-    append_record,
     atomic_write_bytes,
     checkpoint_meta,
     checkpoint_token,
-    read_records,
 )
 from ..core.config import SolverConfig
 from ..core.prepared import PreparedInstance
@@ -100,10 +103,8 @@ class ServicePersistence:
         for directory in (self.graphs_dir, self.prepared_dir, self.checkpoints_dir):
             os.makedirs(directory, exist_ok=True)
         self._lock = threading.Lock()
-        self._results_fh = None
-        self._results_validated = False
-        self._deltas_fh = None
-        self._deltas_validated = False
+        self._results = Journal(self.results_path)
+        self._deltas = Journal(self.deltas_path)
         #: Solve-identity tokens with a live checkpoint handle: two
         #: concurrent solves of the same identity (same digest/k/config but
         #: e.g. different budgets, so they do not coalesce upstream) must
@@ -181,19 +182,9 @@ class ServicePersistence:
         truncation makes later appends land on a valid record boundary.
         """
         with self._lock:
-            scan = read_records(self.results_path)
-            if scan.damaged:
-                try:
-                    with open(self.results_path, "rb+") as fh:
-                        fh.truncate(scan.valid_bytes)
-                except OSError as exc:
-                    logger.warning(
-                        "could not truncate damaged results journal %s: %s",
-                        self.results_path, exc,
-                    )
-            self._results_validated = True
+            records = self._results.replay()
         entries: List[Tuple[Tuple, SolveResult]] = []
-        for raw in scan.records:
+        for raw in records:
             try:
                 key, result = pickle.loads(raw)
                 if not isinstance(result, SolveResult):
@@ -206,36 +197,19 @@ class ServicePersistence:
 
     def append_result(self, key: Tuple, result: SolveResult) -> None:
         """Append one optimal result to the journal (fsynced)."""
+        payload = pickle.dumps((key, result), protocol=pickle.HIGHEST_PROTOCOL)
         with self._lock:
-            if self._closed:
-                return
-            if not self._results_validated:
-                # Never append after an unvalidated (possibly damaged) tail.
-                scan = read_records(self.results_path)
-                if scan.damaged:
-                    with open(self.results_path, "rb+") as fh:
-                        fh.truncate(scan.valid_bytes)
-                self._results_validated = True
-            if self._results_fh is None:
-                self._results_fh = open(self.results_path, "ab")
-            append_record(
-                self._results_fh,
-                pickle.dumps((key, result), protocol=pickle.HIGHEST_PROTOCOL),
-            )
-            self._results_fh.flush()
-            os.fsync(self._results_fh.fileno())
+            if not self._closed:
+                self._results.append(payload)
 
     def rewrite_results(self, entries: List[Tuple[Tuple, SolveResult]]) -> None:
         """Atomically replace the results journal with ``entries`` (compaction)."""
-        buffer = io.BytesIO()
-        for key, result in entries:
-            append_record(buffer, pickle.dumps((key, result), protocol=pickle.HIGHEST_PROTOCOL))
+        payloads = [
+            pickle.dumps((key, result), protocol=pickle.HIGHEST_PROTOCOL)
+            for key, result in entries
+        ]
         with self._lock:
-            if self._results_fh is not None:
-                self._results_fh.close()
-                self._results_fh = None
-            atomic_write_bytes(self.results_path, buffer.getvalue())
-            self._results_validated = True
+            self._results.rewrite(payloads)
 
     # ------------------------------------------------------------------ #
     # Edge-delta journal
@@ -248,19 +222,9 @@ class ServicePersistence:
         prefix are skipped with a warning.
         """
         with self._lock:
-            scan = read_records(self.deltas_path)
-            if scan.damaged:
-                try:
-                    with open(self.deltas_path, "rb+") as fh:
-                        fh.truncate(scan.valid_bytes)
-                except OSError as exc:
-                    logger.warning(
-                        "could not truncate damaged delta journal %s: %s",
-                        self.deltas_path, exc,
-                    )
-            self._deltas_validated = True
+            records = self._deltas.replay()
         entries: List[Tuple[str, str, Optional[str], Tuple, Tuple]] = []
-        for raw in scan.records:
+        for raw in records:
             try:
                 parent, child, name, adds, removes = pickle.loads(raw)
             except Exception as exc:
@@ -271,26 +235,13 @@ class ServicePersistence:
 
     def append_delta(self, parent: str, child: str, name: Optional[str], delta) -> None:
         """Append one mutation link to the delta journal (fsynced)."""
+        payload = pickle.dumps(
+            (parent, child, name, tuple(delta.adds), tuple(delta.removes)),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         with self._lock:
-            if self._closed:
-                return
-            if not self._deltas_validated:
-                scan = read_records(self.deltas_path)
-                if scan.damaged:
-                    with open(self.deltas_path, "rb+") as fh:
-                        fh.truncate(scan.valid_bytes)
-                self._deltas_validated = True
-            if self._deltas_fh is None:
-                self._deltas_fh = open(self.deltas_path, "ab")
-            append_record(
-                self._deltas_fh,
-                pickle.dumps(
-                    (parent, child, name, tuple(delta.adds), tuple(delta.removes)),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                ),
-            )
-            self._deltas_fh.flush()
-            os.fsync(self._deltas_fh.fileno())
+            if not self._closed:
+                self._deltas.append(payload)
 
     # ------------------------------------------------------------------ #
     # Solve checkpoints
@@ -324,20 +275,8 @@ class ServicePersistence:
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Flush and close the journal handle (snapshots need no teardown)."""
+        """Flush and close the journal handles (snapshots need no teardown)."""
         with self._lock:
             self._closed = True
-            for attr in ("_results_fh", "_deltas_fh"):
-                fh = getattr(self, attr)
-                if fh is None:
-                    continue
-                try:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                except OSError:
-                    pass
-                try:
-                    fh.close()
-                except OSError:
-                    pass
-                setattr(self, attr, None)
+            self._results.close()
+            self._deltas.close()

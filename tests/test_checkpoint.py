@@ -4,7 +4,9 @@ Covers the WAL record format (truncated/corrupt tails discarded with a
 warning, never an error), the atomic snapshot write, and
 :class:`~repro.core.checkpoint.SolveCheckpoint` semantics: meta-mismatch
 discard, phantom-incumbent rejection, resume-only-unfinished-subproblems,
-and the bit-identical interrupted-then-resumed sequential solve.
+and the bit-identical interrupted-then-resumed sequential solve.  The
+record/replay and incumbent-verification tests also run the journal-less
+``SolveCheckpoint(None, meta)``, which must keep the durable one's rules.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ def graph():
 @pytest.fixture
 def meta():
     return checkpoint_meta("digest" * 10, K, "kDC", CONFIG)
+
+
+def _reopen(ckpt):
+    """What the next run sees: the journal replayed from disk when durable,
+    the same object when journal-less (its state never leaves the process)."""
+    ckpt.close()
+    return ckpt if ckpt.path is None else SolveCheckpoint(ckpt.path, ckpt.meta)
 
 
 class TestJournalPrimitives:
@@ -108,19 +117,19 @@ class TestJournalPrimitives:
 
 class TestSolveCheckpoint:
     def test_fresh_open_records_and_replays(self, tmp_path, meta):
-        path = str(tmp_path / "c.wal")
-        ckpt = SolveCheckpoint(path, meta)
-        assert ckpt.completed == set()
-        ckpt.record(5, [1, 2, 3])
-        ckpt.record(9, [1, 2, 3, 4])
-        ckpt.record(5, [1, 2, 3])  # duplicate: ignored
-        ckpt.close()
-
-        again = SolveCheckpoint(path, meta)
-        assert again.completed == {5, 9}
         adj = {1: (2, 3, 4), 2: (1, 3, 4), 3: (1, 2, 4), 4: (1, 2, 3)}
-        assert again.verified_incumbent(adj.__getitem__, 0) == [1, 2, 3, 4]
-        again.close()
+        for path in (str(tmp_path / "c.wal"), None):
+            ckpt = SolveCheckpoint(path, meta)
+            assert ckpt.completed == set()
+            ckpt.record(5, [1, 2, 3])
+            ckpt.record(9, [1, 2, 3, 4])
+            ckpt.record(5, [1, 2, 3])  # duplicate: ignored
+
+            again = _reopen(ckpt)
+            assert again.completed == {5, 9}, path
+            assert again.verified_incumbent(adj.__getitem__, 0) == [1, 2, 3, 4], path
+            again.close()
+        assert os.listdir(tmp_path) == ["c.wal"]  # the journal-less run wrote nothing
 
     def test_meta_mismatch_starts_fresh(self, tmp_path, meta, caplog):
         path = str(tmp_path / "c.wal")
@@ -151,27 +160,41 @@ class TestSolveCheckpoint:
 
     def test_phantom_incumbent_rejected(self, tmp_path, meta, caplog):
         """A journaled incumbent that is not a valid k-defective clique is discarded."""
-        path = str(tmp_path / "c.wal")
-        ckpt = SolveCheckpoint(path, meta)
-        ckpt.record(1, [1, 2, 3, 4])  # journals the incumbent too
-        ckpt.close()
-        again = SolveCheckpoint(path, meta)
         # under THIS adjacency, {1,2,3,4} has 3 missing edges > k=2
         sparse = {1: (2,), 2: (1, 3), 3: (2, 4), 4: (3,)}
-        with caplog.at_level(logging.WARNING, logger="repro.core.checkpoint"):
-            assert again.verified_incumbent(sparse.__getitem__, K) == []
-        assert any("not a valid" in r.message for r in caplog.records)
-        again.close()
+        for path in (str(tmp_path / "c.wal"), None):
+            ckpt = SolveCheckpoint(path, meta)
+            ckpt.record(1, [1, 2, 3, 4])  # journals the incumbent too
+            again = _reopen(ckpt)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.core.checkpoint"):
+                assert again.verified_incumbent(sparse.__getitem__, K) == [], path
+            assert any("not a valid" in r.message for r in caplog.records), path
+            again.close()
 
     def test_unknown_vertices_in_incumbent_rejected(self, tmp_path, meta):
-        path = str(tmp_path / "c.wal")
-        ckpt = SolveCheckpoint(path, meta)
-        ckpt.record(1, [1, 2, 99])
-        ckpt.close()
-        again = SolveCheckpoint(path, meta)
         adj = {1: (2,), 2: (1,)}  # 99 is not a vertex
-        assert again.verified_incumbent(adj.__getitem__, K) == []
-        again.close()
+        for path in (str(tmp_path / "c.wal"), None):
+            ckpt = SolveCheckpoint(path, meta)
+            ckpt.record(1, [1, 2, 99])
+            again = _reopen(ckpt)
+            assert again.verified_incumbent(adj.__getitem__, K) == [], path
+            again.close()
+
+    def test_duplicate_vertex_incumbent_rejected(self, tmp_path, meta, caplog):
+        adj = {1: (2,), 2: (1,)}
+        for path in (str(tmp_path / "c.wal"), None):
+            name = path if path is not None else "<memory>"  # named in the log line
+            ckpt = SolveCheckpoint(path, meta)
+            ckpt.record(1, [1, 2, 2])
+            again = _reopen(ckpt)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.core.checkpoint"):
+                assert again.verified_incumbent(adj.__getitem__, K) == [], path
+            assert any(
+                "has duplicates" in r.message and name in r.message for r in caplog.records
+            ), path
+            again.close()
 
     def test_complete_unlinks_close_keeps(self, tmp_path, meta):
         path = str(tmp_path / "c.wal")
@@ -285,8 +308,8 @@ class TestCheckpointRobustness:
             def close(self):
                 pass
 
-        ckpt._fh.close()
-        ckpt._fh = _FailingHandle()
+        ckpt._journal._fh.close()
+        ckpt._journal._fh = _FailingHandle()
         with caplog.at_level(logging.WARNING, logger="repro.core.checkpoint"):
             ckpt.record(1, [1, 2, 3])  # must not raise
             ckpt.record(2, [1, 2, 3])

@@ -16,6 +16,9 @@ at the two dynamic fault points and asserts the crash-safety contract:
 
 from __future__ import annotations
 
+import logging
+import os
+
 import pytest
 
 from repro.core import KDCSolver, SolverConfig
@@ -192,8 +195,26 @@ class TestCheckpointResume:
             f"(restored={restored}, unaffected={n_unaffected})"
         )
 
+    def test_unusable_checkpoint_dir_falls_back_to_journal_less_carry(self, tmp_path, caplog):
+        dense = gnp_random_graph(60, 0.25, seed=21)
+        delta = EdgeDelta(adds=absent_edges(dense, 3))
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_bytes(b"")
+
+        tracker = IncrementalSolver(
+            CONFIG, max_affected_fraction=1.0, checkpoint_dir=str(blocker)
+        )
+        tracker.solve(dense, K)
+        with caplog.at_level(logging.WARNING, logger="repro.dynamic.incremental"):
+            report = tracker.apply(delta)
+        assert report.incremental
+        successor, _ = apply_delta(dense, delta)
+        assert report.result.size == KDCSolver(CONFIG).solve(successor, K).size
+        assert any("journal unavailable" in r.message for r in caplog.records)
+        assert os.listdir(tmp_path) == ["not-a-dir"] and blocker.read_bytes() == b""
+
     def test_memory_carry_resumes_without_checkpoint_dir(self):
-        """The in-memory carry keeps a failed apply's progress for a retry."""
+        """The journal-less carry keeps a failed apply's progress for a retry."""
         dense = gnp_random_graph(60, 0.25, seed=21)
         delta = EdgeDelta(adds=absent_edges(dense, 3))
 
@@ -203,7 +224,7 @@ class TestCheckpointResume:
         assert twin_report.incremental
         n_unaffected = twin_report.anchors_reused
 
-        # no checkpoint_dir: the in-memory carry
+        # no checkpoint_dir: the journal-less SolveCheckpoint(None, meta) carry
         tracker = IncrementalSolver(CONFIG, max_affected_fraction=1.0)
         tracker.solve(dense, K)
         injector = FaultInjector().add(

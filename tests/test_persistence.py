@@ -1,8 +1,8 @@
 """Durable service state: snapshots, the results journal, and warm restart.
 
 Exercises :class:`~repro.service.persistence.ServicePersistence` directly
-(snapshot/journal round trips, damaged-tail and unreadable-entry handling,
-the active-checkpoint guard) and through the service layer (GraphStore and
+(snapshot/journal round trips, damaged-tail and unreadable-entry handling
+on both WALs, the active-checkpoint guard) and through the service layer (GraphStore and
 SolverService restarted against the same state directory restore their
 graphs, prepared artifacts and optimal-result cache).  Also covers the
 GraphStore pickle round trip, which the snapshot layer relies on.
@@ -16,8 +16,10 @@ import pickle
 
 import pytest
 
+from repro.core.checkpoint import append_record
 from repro.core.config import SolverConfig
 from repro.core.prepared import prepare_instance
+from repro.dynamic import EdgeDelta
 from repro.graphs import gnp_random_graph
 from repro.service import GraphStore, ServicePersistence, SolverService
 from repro.testing.chaos import FaultInjector, InjectedFaultError
@@ -44,6 +46,29 @@ def graph():
 @pytest.fixture
 def state_dir(tmp_path):
     return str(tmp_path / "state")
+
+
+#: The service's two write-ahead logs: ``results.wal`` and ``deltas.wal``.
+WALS = ("results", "deltas")
+
+
+def _wal_path(persistence, wal):
+    return persistence.results_path if wal == "results" else persistence.deltas_path
+
+
+def _append(persistence, wal, tag, result):
+    """Append one record tagged ``tag`` to the ``wal`` journal."""
+    if wal == "results":
+        persistence.append_result((tag,), result)
+    else:
+        persistence.append_delta(tag, tag + "-child", None, EdgeDelta(adds=[(0, 1)]))
+
+
+def _replayed(persistence, wal):
+    """Tags of the records a replay of the ``wal`` journal returns, in order."""
+    if wal == "results":
+        return [key[0] for key, _ in persistence.replay_results()]
+    return [parent for parent, *_ in persistence.replay_deltas()]
 
 
 class TestSnapshots:
@@ -144,34 +169,70 @@ class TestResultsJournal:
         fresh.close()
         assert [k for k, _ in ServicePersistence(state_dir).replay_results()] == [("a",), ("c",)]
 
-    def test_append_validates_tail_even_without_prior_replay(self, state_dir, graph):
-        persistence = ServicePersistence(state_dir)
+    def test_append_validates_tail_even_without_prior_replay(self, tmp_path, graph):
         result = self._solve(graph)
-        persistence.append_result(("a",), result)
-        persistence.close()
-        with open(persistence.results_path, "ab") as fh:
-            fh.write(b"\xff\xff")  # crash residue
+        for wal in WALS:
+            state_dir = str(tmp_path / wal)
+            persistence = ServicePersistence(state_dir)
+            _append(persistence, wal, "a", result)
+            persistence.close()
+            with open(_wal_path(persistence, wal), "ab") as fh:
+                fh.write(b"\xff\xff")  # crash residue
 
+            fresh = ServicePersistence(state_dir)
+            _append(fresh, wal, "b", result)  # no replay first
+            fresh.close()
+            assert _replayed(ServicePersistence(state_dir), wal) == ["a", "b"], wal
+
+    def test_unreadable_record_within_valid_prefix_skipped(self, tmp_path, graph, caplog):
+        result = self._solve(graph)
+        bad_records = {
+            "results": ((("bad",), "not a SolveResult"), "unreadable results-journal record"),
+            "deltas": (("bad",), "unreadable delta-journal record"),
+        }
+        for wal in WALS:
+            bad, message = bad_records[wal]
+            state_dir = str(tmp_path / wal)
+            persistence = ServicePersistence(state_dir)
+            _append(persistence, wal, "a", result)
+            persistence.close()
+            with open(_wal_path(persistence, wal), "ab") as fh:
+                append_record(fh, pickle.dumps(bad))
+
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.service.persistence"):
+                assert _replayed(ServicePersistence(state_dir), wal) == ["a"], wal
+            assert any(message in r.message for r in caplog.records), wal
+
+    @pytest.mark.parametrize("wal", WALS)
+    def test_failed_tail_truncate_never_loses_later_appends(
+        self, state_dir, graph, wal, monkeypatch
+    ):
+        """An append after a replay whose truncate failed must not land behind
+        the damaged tail, where the next restart would silently drop it."""
+        result = self._solve(graph)
+        persistence = ServicePersistence(state_dir)
+        _append(persistence, wal, "a", result)
+        persistence.close()
+        with open(_wal_path(persistence, wal), "ab") as fh:
+            fh.write(b"\x99\x00\x00\x00torn")  # crash mid-append
+
+        truncate = os.truncate
+        calls = []
+
+        def truncate_fails_once(path, length):  # the one truncate a Journal makes
+            calls.append(length)
+            if len(calls) == 1:
+                raise OSError(5, "Input/output error")
+            truncate(path, length)
+
+        monkeypatch.setattr(os, "truncate", truncate_fails_once)
         fresh = ServicePersistence(state_dir)
-        fresh.append_result(("b",), result)  # no replay_results() first
+        assert _replayed(fresh, wal) == ["a"]  # the replay itself still succeeds
+        _append(fresh, wal, "b", result)
         fresh.close()
-        scan_entries = ServicePersistence(state_dir).replay_results()
-        assert [k for k, _ in scan_entries] == [("a",), ("b",)]
-
-    def test_unreadable_record_within_valid_prefix_skipped(self, state_dir, graph, caplog):
-        from repro.core.checkpoint import append_record
-
-        persistence = ServicePersistence(state_dir)
-        result = self._solve(graph)
-        persistence.append_result(("a",), result)
-        persistence.close()
-        with open(persistence.results_path, "ab") as fh:
-            append_record(fh, pickle.dumps((("bad",), "not a SolveResult")))
-
-        with caplog.at_level(logging.WARNING, logger="repro.service.persistence"):
-            entries = ServicePersistence(state_dir).replay_results()
-        assert [k for k, _ in entries] == [("a",)]
-        assert any("unreadable results-journal record" in r.message for r in caplog.records)
+        assert len(calls) == 2  # the append re-validated the tail first
+        assert _replayed(ServicePersistence(state_dir), wal) == ["a", "b"]
 
     def test_rewrite_compacts(self, state_dir, graph):
         persistence = ServicePersistence(state_dir)
