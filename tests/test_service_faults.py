@@ -126,6 +126,22 @@ class TestDeadlines:
                 assert service.solve(digest, 2).optimal
                 assert service.stats()["deadline_expired"] == 1
 
+    def test_deadline_reaches_coalesced_followers(self, graph):
+        """The watchdog's typed failure reaches every request coalesced onto it."""
+        with FaultInjector().add("scheduler.solve", delay=1.5, times=1):
+            with SolverService(max_concurrency=1) as service:
+                digest = service.store.add(graph)
+                blocker = service.submit(digest, 1)
+                queued = service.submit(digest, 2, deadline=0.2)
+                twin = service.submit(digest, 2, deadline=0.2)
+                start = time.perf_counter()
+                for fut in (queued, twin):
+                    with pytest.raises(DeadlineExceededError):
+                        fut.result(timeout=10)
+                assert time.perf_counter() - start < 1.0
+                assert service.stats()["coalesced"] == 1
+                assert blocker.result(timeout=30).optimal
+
     def test_deadline_expires_during_preparation(self, graph):
         with FaultInjector().add("store.prepare", delay=0.6, times=1):
             with SolverService(max_concurrency=1) as service:
@@ -278,6 +294,22 @@ class TestGracefulDrain:
         with pytest.raises(ServiceClosedError):
             service.submit(digest, 3)
 
+    def test_drain_reaches_coalesced_followers(self, graph):
+        """A queued request the bounded drain fails takes its twin with it."""
+        service = SolverService(max_concurrency=1)
+        digest = service.store.add(graph)
+        with FaultInjector().add("scheduler.solve", delay=0.8, times=1):
+            running = service.submit(digest, 1)
+            queued = service.submit(digest, 2)
+            twin = service.submit(digest, 2)
+            time.sleep(0.1)  # let the first request enter its solve slot
+            service.close(drain_timeout=0.2)
+            done, not_done = futures_wait([running, queued, twin], timeout=10)
+            assert not not_done
+            for fut in (queued, twin):
+                with pytest.raises(ServiceClosedError):
+                    fut.result()
+
     def test_drain_with_idle_service_returns_immediately(self):
         service = SolverService()
         start = time.perf_counter()
@@ -319,6 +351,26 @@ class TestSolveCrashes:
                 for fut in (primary, follower):
                     with pytest.raises(InjectedFaultError):
                         fut.result(timeout=10)
+
+    def test_counters_return_to_zero_after_mixed_outcomes(self, graph):
+        """A crash, a queued deadline expiry and a completion leave no residue."""
+        # Both rules match the first solve: it is delayed, then crashes.
+        with FaultInjector().add("scheduler.solve", delay=0.6, times=1).add(
+            "scheduler.solve", error="solver exploded", times=1
+        ):
+            with SolverService(max_concurrency=1) as service:
+                digest = service.store.add(graph)
+                crashed = service.submit(digest, 1)
+                expired = service.submit(digest, 2, deadline=0.2)
+                completed = service.submit(digest, 3)
+                with pytest.raises(InjectedFaultError):
+                    crashed.result(timeout=10)
+                with pytest.raises(DeadlineExceededError):
+                    expired.result(timeout=10)
+                assert completed.result(timeout=30).optimal
+                stats = service.stats()
+                assert stats["queue_depth"] == 0
+                assert stats["inflight"] == 0
 
     def test_in_process_client_maps_crash_to_service_error(self, graph):
         with FaultInjector().add("scheduler.solve", error="solver exploded", times=1):
