@@ -31,7 +31,7 @@ Three mechanisms keep the service healthy under overload and failure:
 * **Deadlines.**  Every request may carry a ``deadline`` (seconds,
   end-to-end; ``default_deadline`` supplies one when the client does not).
   The deadline covers queue wait, artifact preparation and the solve: a
-  request still queued at expiry is cancelled by a watchdog thread without
+  request still queued at expiry is failed by a watchdog thread without
   ever entering the engine, the solve phase runs with its time budget
   clamped to the remaining deadline, and a deadline miss resolves the
   future with a typed
@@ -43,11 +43,15 @@ Three mechanisms keep the service healthy under overload and failure:
   weighted average solve time.  Cache hits and coalesced requests are
   always admitted — they cost no engine work.
 * **Graceful drain.**  ``close(drain_timeout=...)`` stops admissions,
-  waits for in-flight work up to the timeout, then cancels: queued requests
-  fail with :class:`~repro.exceptions.ServiceClosedError`, running solves
-  are cooperatively interrupted (via the engine's per-node cancel poll) and
-  answer with their best-so-far partial result.  Every request is answered
-  or typed-failed; none is silently dropped.
+  waits for in-flight work up to the timeout, then fails queued requests
+  with :class:`~repro.exceptions.ServiceClosedError`; running solves are
+  cooperatively interrupted (via the engine's per-node cancel poll) and
+  answer with their best-so-far partial result.
+
+Each admitted request is one :class:`_Request` with one future.  The worker,
+the watchdog and the drain all resolve it through one locked claim, so
+whichever comes first answers it — and every request coalesced onto it —
+exactly once; none is answered twice or silently dropped.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor, wait as futures_wait
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ..core.config import VARIANT_NAMES, SolverConfig, variant_config
 from ..core.result import SolveResult
@@ -75,7 +79,7 @@ from ..exceptions import (
 )
 from ..graphs.graph import Graph
 from ..testing import chaos as faults
-from .store import GraphStore
+from .store import GraphStore, trim_lru
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .persistence import ServicePersistence
@@ -123,27 +127,46 @@ _WATCHDOG_MAX_WAIT_SECONDS = 0.5
 #: the cancel event at every branch-and-bound node, so this is generous).
 _DRAIN_CANCEL_GRACE_SECONDS = 5.0
 
+#: Typed failure message of a request whose deadline passed while queued.
+_QUEUED_EXPIRY = "deadline expired while the request was queued; cancelled before execution"
 
-class _Tracked:
-    """Book-keeping of one admitted request.
 
-    ``outer`` is the future handed to the caller; ``inner`` the executor's.
-    Decoupling them lets the deadline watchdog and the drain path cancel a
-    queued ``inner`` and resolve ``outer`` with a *typed* error instead of a
-    bare ``CancelledError``.  ``cancel_reason`` is set by whichever path
-    cancels, *before* calling ``inner.cancel()``, so the settle callback
-    (which runs synchronously inside ``cancel()``) can read it.
+class _Request:
+    """One admitted request: ``queued -> running -> done`` or ``queued -> done``.
+
+    ``future`` goes to the submitter, ``followers`` to identical requests
+    coalesced onto this one.  Only the worker starts a request; only
+    :meth:`SolverService._finish` ends it, under the service lock, so exactly
+    one of the worker, the deadline watchdog and the drain resolves it.  The
+    watchdog and the drain fail only ``queued`` requests; a ``running`` one
+    they can only ask to stop through ``cancel``.
     """
 
-    __slots__ = ("outer", "inner", "deadline_at", "cancel", "started", "cancel_reason")
+    __slots__ = ("key", "future", "followers", "deadline_at", "cancel", "state")
 
-    def __init__(self, deadline_at: Optional[float]) -> None:
-        self.outer: "Future[SolveResult]" = Future()
-        self.inner: Optional[Future] = None
+    def __init__(self, key: _RequestKey, deadline_at: Optional[float]) -> None:
+        self.key = key
+        self.future: "Future[SolveResult]" = Future()
+        self.followers: List["Future[SolveResult]"] = []
         self.deadline_at = deadline_at
         self.cancel = threading.Event()
-        self.started = False
-        self.cancel_reason: Optional[BaseException] = None
+        self.state = "queued"
+
+
+def _clamp(
+    time_limit: Optional[float], deadline_at: Optional[float]
+) -> Tuple[Optional[float], bool]:
+    """Cut ``time_limit`` to the time left before ``deadline_at``.
+
+    Returns ``(limit, deadline_bound)``: ``deadline_bound`` is true when the
+    deadline, not the caller's own budget, sets the limit — a non-positive
+    limit then means the deadline has already passed.
+    """
+    if deadline_at is not None:
+        remaining = deadline_at - time.monotonic()
+        if time_limit is None or remaining < time_limit:
+            return remaining, True
+    return time_limit, False
 
 
 class SolverService:
@@ -214,8 +237,9 @@ class SolverService:
         self._lock = threading.Lock()
         self._deadline_cond = threading.Condition(self._lock)
         self._results: "OrderedDict[_ResultKey, SolveResult]" = OrderedDict()
-        self._inflight: Dict[_RequestKey, "Future[SolveResult]"] = {}
-        self._tracked: Set[_Tracked] = set()
+        # Every admitted, not yet finished request, under its unique key (a
+        # duplicate key coalesces instead of being admitted).
+        self._inflight: Dict[_RequestKey, _Request] = {}
         self._watchdog: Optional[threading.Thread] = None
         # Incremental solving over mutated graphs: one IncrementalSolver per
         # hot (k, algorithm) shape, advanced delta-by-delta when a solve
@@ -258,9 +282,7 @@ class SolverService:
                 continue
             kept[key] = result
             kept.move_to_end(key)
-        if self.result_cache_size is not None:
-            while len(kept) > self.result_cache_size:
-                kept.popitem(last=False)
+        trim_lru(kept, self.result_cache_size)
         self._results = kept
         self._restored_results = len(kept)
         if len(kept) != len(entries):
@@ -322,7 +344,7 @@ class SolverService:
             prepare + solve).  Defaults to the service's
             ``default_deadline``.  On expiry the future fails with
             :class:`DeadlineExceededError` — a request still queued is
-            cancelled without entering the engine; a running solve is
+            failed without entering the engine; a running solve is
             clamped to the remaining time.  Contrast ``time_limit``, which
             bounds only the solve phase and yields a partial
             (``optimal=False``) result rather than an error.
@@ -365,8 +387,12 @@ class SolverService:
                 return done
             running = self._inflight.get(request_key)
             if running is not None:
+                # Its answer costs no engine work of its own: _finish hands
+                # the follower a cache-hit copy (or the primary's exception).
                 self._coalesced += 1
-                return self._follow(running)
+                follower: "Future[SolveResult]" = Future()
+                running.followers.append(follower)
+                return follower
             if self.max_pending is not None and self._queued >= self.max_pending:
                 self._shed += 1
                 retry_after = self._retry_after_locked()
@@ -377,22 +403,17 @@ class SolverService:
                 raise ServiceOverloadedError(
                     retry_after=retry_after, queue_depth=self._queued
                 )
-            entry = _Tracked(deadline_at)
+            request = _Request(request_key, deadline_at)
             try:
-                entry.inner = self._executor.submit(
-                    self._run, entry, digest, k, algorithm,
-                    time_limit, node_limit, deadline_at, deadline, submitted,
-                )
+                self._executor.submit(self._run, request, submitted)
             except RuntimeError as exc:  # executor shut down out-of-band
                 raise ServiceClosedError() from exc
             self._queued += 1
-            self._tracked.add(entry)
-            self._inflight[request_key] = entry.outer
+            self._inflight[request_key] = request
             if deadline_at is not None:
                 self._ensure_watchdog_locked()
                 self._deadline_cond.notify_all()
-        entry.inner.add_done_callback(lambda inner: self._settle(entry, request_key, inner))
-        return entry.outer
+        return request.future
 
     def mutate(
         self,
@@ -476,7 +497,7 @@ class SolverService:
             estimate = _DEFAULT_SOLVE_ESTIMATE_SECONDS + (
                 estimate - _DEFAULT_SOLVE_ESTIMATE_SECONDS
             ) * 0.5 ** (idle / _EWMA_STALE_HALF_LIFE_SECONDS)
-        backlog = max(1, len(self._tracked))
+        backlog = max(1, len(self._inflight))
         return min(30.0, max(0.05, backlog * estimate / self.max_concurrency))
 
     # ------------------------------------------------------------------ #
@@ -490,128 +511,113 @@ class SolverService:
             self._watchdog.start()
 
     def _watchdog_loop(self) -> None:
-        """Cancel queued requests whose deadline expired, with a typed error.
+        """Fail queued requests whose deadline expired, with a typed error.
 
         Only *queued* (not yet started) requests are the watchdog's job —
         a running solve already has its time budget clamped to the deadline
-        and resolves itself.  Cancellation happens outside the lock because
-        ``Future.cancel`` runs the settle callback synchronously.
+        and resolves itself.  Failing happens outside the lock because
+        :meth:`_finish` takes it.
         """
         while True:
             with self._lock:
-                if self._closed and not self._tracked:
+                if self._closed and not self._inflight:
                     return
                 now = time.monotonic()
-                expired: List[_Tracked] = []
+                expired: List[_Request] = []
                 next_deadline: Optional[float] = None
-                for entry in self._tracked:
-                    if entry.deadline_at is None or entry.started:
+                for request in self._inflight.values():
+                    if request.deadline_at is None or request.state != "queued":
                         continue
-                    if entry.deadline_at <= now:
-                        expired.append(entry)
-                        entry.deadline_at = None  # handled; never re-scanned
-                    elif next_deadline is None or entry.deadline_at < next_deadline:
-                        next_deadline = entry.deadline_at
+                    if request.deadline_at <= now:
+                        expired.append(request)
+                    elif next_deadline is None or request.deadline_at < next_deadline:
+                        next_deadline = request.deadline_at
                 if not expired:
                     timeout = _WATCHDOG_MAX_WAIT_SECONDS
                     if next_deadline is not None:
                         timeout = min(timeout, max(0.0, next_deadline - now))
                     self._deadline_cond.wait(timeout)
                     continue
-            for entry in expired:
-                entry.cancel_reason = DeadlineExceededError(
-                    "deadline expired while the request was queued; cancelled before execution"
-                )
-                # cancel() fails iff the run started in the meantime — then
+            for request in expired:
+                # The claim fails iff the run started in the meantime — then
                 # the run's own deadline checks take over.
-                entry.inner.cancel()
+                self._finish(request, exc=DeadlineExceededError(_QUEUED_EXPIRY),
+                             queued_only=True)
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _settle(self, entry: _Tracked, request_key: _RequestKey, inner: Future) -> None:
-        """Inner-future completion: book-keeping, then resolve the outer future."""
+    def _finish(
+        self,
+        request: _Request,
+        result: Optional[SolveResult] = None,
+        exc: Optional[BaseException] = None,
+        *,
+        queued_only: bool = False,
+    ) -> bool:
+        """Claim ``request``'s ``done`` transition; resolve it and its followers.
+
+        The worker, which alone starts a request, finishes it unconditionally;
+        the watchdog and the drain pass ``queued_only`` and get ``False``,
+        resolving nothing, once the request has started.  The book-keeping
+        settles before any future resolves, and followers resolve before the
+        submitter's future, so a caller woken by its answer sees the
+        service's counters at rest.
+        """
         with self._lock:
-            self._tracked.discard(entry)
-            if self._inflight.get(request_key) is entry.outer:
-                del self._inflight[request_key]
-            if not entry.started:
+            if queued_only and request.state != "queued":
+                return False
+            if request.state == "queued":
                 self._queued -= 1
-        if inner.cancelled():
-            exc: Optional[BaseException] = entry.cancel_reason or ServiceClosedError(
-                "request cancelled"
-            )
-        else:
-            exc = inner.exception()
+            request.state = "done"
+            del self._inflight[request.key]
+            if isinstance(exc, DeadlineExceededError):
+                self._deadline_expired += 1
         if exc is not None:
             if isinstance(exc, DeadlineExceededError):
-                with self._lock:
-                    self._deadline_expired += 1
                 logger.info("request failed deadline (digest=%s k=%s): %s",
-                            request_key[0][:12], request_key[1], exc)
-            entry.outer.set_exception(exc)
-        else:
-            entry.outer.set_result(inner.result())
-
-    def _follow(self, running: "Future[SolveResult]") -> "Future[SolveResult]":
-        """Attach a coalesced request to an in-flight computation.
-
-        The follower receives a cache-hit-marked copy (its answer cost no
-        engine work of its own); a failed primary propagates its exception.
-        """
-        follower: "Future[SolveResult]" = Future()
-
-        def _chain(primary: "Future[SolveResult]") -> None:
-            exc = primary.exception()
-            if exc is not None:
+                            request.key[0][:12], request.key[1], exc)
+            for follower in request.followers:
                 follower.set_exception(exc)
-            else:
-                follower.set_result(self._cache_hit_copy(primary.result()))
+            request.future.set_exception(exc)
+        else:
+            for follower in request.followers:
+                follower.set_result(self._cache_hit_copy(result))
+            request.future.set_result(result)
+        return True
 
-        running.add_done_callback(_chain)
-        return follower
-
-    def _run(
-        self,
-        entry: _Tracked,
-        digest: str,
-        k: int,
-        algorithm: str,
-        time_limit: Optional[float],
-        node_limit: Optional[int],
-        deadline_at: Optional[float],
-        deadline: Optional[float],
-        submitted: float,
-    ) -> SolveResult:
+    def _run(self, request: _Request, submitted: float) -> None:
+        """Worker entry: start a still-queued request, answer it, finish it."""
         with self._lock:
-            entry.started = True
+            if request.state != "queued":
+                return  # the watchdog or the drain failed it while queued
+            request.state = "running"
             self._queued -= 1
+        try:
+            result = self._answer(request, submitted)
+        except BaseException as exc:
+            self._finish(request, exc=exc)
+        else:
+            self._finish(request, result)
+
+    def _answer(self, request: _Request, submitted: float) -> SolveResult:
+        """Route, prepare and solve one request; cache and journal an optimum."""
+        digest, k, algorithm, time_limit, node_limit, deadline = request.key
         started = time.perf_counter()
-        if deadline_at is not None and time.monotonic() >= deadline_at:
-            # The watchdog lost the race to cancel us; same typed outcome.
-            raise DeadlineExceededError(
-                "deadline expired while the request was queued; cancelled before execution"
-            )
+        if request.deadline_at is not None and time.monotonic() >= request.deadline_at:
+            # The watchdog lost the race to fail us; same typed outcome.
+            raise DeadlineExceededError(_QUEUED_EXPIRY)
         solver = self._solver_for(algorithm)
         prepare_ms = 0.0
-        result = self._incremental_result(
-            entry, digest, k, algorithm, time_limit, deadline_at
-        )
+        result = self._incremental_result(request)
         if result is None:
             prepared = self.store.prepared(digest, k, solver.config)
             prepare_ms = (time.perf_counter() - started) * 1000.0
-
-            effective_limit = time_limit
-            deadline_bound = False
-            if deadline_at is not None:
-                remaining = deadline_at - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlineExceededError(
-                        f"deadline of {deadline:.3f}s expired during preparation"
-                    )
-                if effective_limit is None or remaining < effective_limit:
-                    effective_limit = remaining
-                    deadline_bound = True
+            effective_limit, deadline_bound = _clamp(time_limit, request.deadline_at)
+            if deadline_bound and effective_limit <= 0:
+                raise DeadlineExceededError(
+                    f"deadline of {deadline:.3f}s expired during preparation"
+                )
             faults.fire("scheduler.solve", digest=digest, k=k)
             checkpoint = None
             if self._persistence is not None:
@@ -628,7 +634,7 @@ class SolverService:
             try:
                 result = solver.solve_prepared(
                     prepared, k,
-                    time_limit=effective_limit, node_limit=node_limit, cancel=entry.cancel,
+                    time_limit=effective_limit, node_limit=node_limit, cancel=request.cancel,
                     checkpoint=checkpoint,
                 )
             except BaseException:
@@ -644,7 +650,7 @@ class SolverService:
                     checkpoint.complete()
                 else:
                     checkpoint.close()
-            if not result.optimal and not entry.cancel.is_set():
+            if not result.optimal and not request.cancel.is_set():
                 # A drain-cancelled solve answers with its partial result; a
                 # deadline-clamped one reports the miss as a typed error.  A miss
                 # of the caller's own time/node budget keeps the partial-result
@@ -683,10 +689,7 @@ class SolverService:
                     self._results[key] = stored
                     wal_entry = (key, stored)
                 self._results.move_to_end(key)
-                if self.result_cache_size is not None:
-                    while len(self._results) > self.result_cache_size:
-                        self._results.popitem(last=False)
-                        self._result_evictions += 1
+                self._result_evictions += trim_lru(self._results, self.result_cache_size)
         if wal_entry is not None and self._persistence is not None:
             # Outside the lock — the journal append fsyncs, and durability
             # of one result must not stall every concurrent submission.
@@ -700,15 +703,7 @@ class SolverService:
     # ------------------------------------------------------------------ #
     # Incremental solving over mutated graphs
     # ------------------------------------------------------------------ #
-    def _incremental_result(
-        self,
-        entry: _Tracked,
-        digest: str,
-        k: int,
-        algorithm: str,
-        time_limit: Optional[float],
-        deadline_at: Optional[float],
-    ) -> Optional[SolveResult]:
+    def _incremental_result(self, request: _Request) -> Optional[SolveResult]:
         """Answer via the delta route when a predecessor solve is available.
 
         Walks the store's digest chain from this ``(k, algorithm)`` shape's
@@ -719,6 +714,7 @@ class SolverService:
         a correctness dependency.  Exercised (and failure-injected) via the
         ``dynamic.resolve`` chaos point.
         """
+        digest, k, algorithm, time_limit, _, _ = request.key
         with self._dynamic_lock:
             state = self._dynamic.get((k, algorithm))
             if state is None or state.digest == digest:
@@ -733,15 +729,11 @@ class SolverService:
                             algorithm=algorithm, steps=len(chain))
                 report = None
                 for _, delta in chain:
-                    step_limit = time_limit
-                    if deadline_at is not None:
-                        remaining = deadline_at - time.monotonic()
-                        if remaining <= 0:
-                            return None  # normal path raises the typed error
-                        if step_limit is None or remaining < step_limit:
-                            step_limit = remaining
+                    step_limit, deadline_bound = _clamp(time_limit, request.deadline_at)
+                    if deadline_bound and step_limit <= 0:
+                        return None  # normal path raises the typed error
                     report = state.apply(
-                        delta, time_limit=step_limit, cancel=entry.cancel
+                        delta, time_limit=step_limit, cancel=request.cancel
                     )
                     reused += report.anchors_reused
                     resolved += report.anchors_resolved
@@ -785,8 +777,7 @@ class SolverService:
                     self._dynamic[(k, algorithm)] = state
                 state.seed(graph, k, result)
                 self._dynamic.move_to_end((k, algorithm))
-                while len(self._dynamic) > _MAX_DYNAMIC_STATES:
-                    self._dynamic.popitem(last=False)
+                trim_lru(self._dynamic, _MAX_DYNAMIC_STATES)
         except Exception:
             logger.warning("seeding incremental state failed (digest=%s k=%d)",
                            digest[:12], k, exc_info=True)
@@ -840,7 +831,7 @@ class SolverService:
                 "coalesced": self._coalesced,
                 "max_concurrency": self.max_concurrency,
                 "queue_depth": self._queued,
-                "inflight": len(self._tracked),
+                "inflight": len(self._inflight),
                 "shed": self._shed,
                 "deadline_expired": self._deadline_expired,
                 "drain_cancelled": self._drain_cancelled,
@@ -865,41 +856,35 @@ class SolverService:
         Parameters
         ----------
         drain_timeout:
-            ``None`` (default) waits for every in-flight request to finish,
-            as before.  A number bounds the drain: after ``drain_timeout``
-            seconds, still-queued requests are cancelled with
+            ``None`` (default) waits for every in-flight request to finish.
+            A number bounds the drain: after ``drain_timeout`` seconds,
+            still-queued requests fail with
             :class:`ServiceClosedError` and running solves are cooperatively
             interrupted — they answer promptly with their best-so-far
             partial result (``optimal=False``).
         """
         with self._lock:
             self._closed = True
-            tracked = list(self._tracked)
+            pending = list(self._inflight.values())
             self._deadline_cond.notify_all()
-        if drain_timeout is None:
-            self._executor.shutdown(wait=True)
-            self._close_persistence()
-            return
-        pending = [entry.outer for entry in tracked]
         if pending:
-            logger.info("draining %d in-flight request(s) for up to %.2fs",
+            logger.info("draining %d in-flight request(s), timeout %s",
                         len(pending), drain_timeout)
-            futures_wait(pending, timeout=drain_timeout)
-        leftovers = [entry for entry in tracked if not entry.outer.done()]
-        for entry in leftovers:
-            entry.cancel_reason = ServiceClosedError(
-                "service drain deadline expired; request cancelled"
-            )
-            if not entry.inner.cancel():
+            futures_wait([request.future for request in pending], timeout=drain_timeout)
+        leftovers = [request for request in pending if not request.future.done()]
+        for request in leftovers:
+            closed = ServiceClosedError("service drain deadline expired; request cancelled")
+            if not self._finish(request, exc=closed, queued_only=True):
                 # Already running: cooperative cancel via the engine's
                 # per-node poll; it returns a partial result promptly.
-                entry.cancel.set()
+                request.cancel.set()
         if leftovers:
             with self._lock:
                 self._drain_cancelled += len(leftovers)
             logger.warning("drain deadline expired: cancelled %d request(s)", len(leftovers))
-            futures_wait([e.outer for e in leftovers], timeout=_DRAIN_CANCEL_GRACE_SECONDS)
-        self._executor.shutdown(wait=False)
+            futures_wait([request.future for request in leftovers],
+                         timeout=_DRAIN_CANCEL_GRACE_SECONDS)
+        self._executor.shutdown(wait=False, cancel_futures=True)
         self._close_persistence()
 
     def _close_persistence(self) -> None:

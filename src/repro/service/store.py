@@ -12,7 +12,9 @@ Both caches are optionally bounded: ``max_graphs`` / ``max_prepared`` turn
 them into LRU caches, so a long-lived service under an endless stream of
 novel graphs degrades to evictions (counted in :meth:`stats`) instead of
 growing without bound.  Evicting a graph also drops its prepared artifacts —
-they are unreachable once :meth:`get` no longer resolves the digest.
+they are unreachable once :meth:`get` no longer resolves the digest.  That
+includes an artifact still being built when its graph is evicted: it is
+handed to the requests waiting on it but never enters the cache.
 
 Durability is optional and best-effort: with a
 :class:`~repro.service.persistence.ServicePersistence` attached, every new
@@ -49,7 +51,7 @@ from ..exceptions import InvalidParameterError, UnknownGraphError
 from ..graphs.graph import Graph
 from ..testing import chaos as faults
 
-__all__ = ["GraphStore"]
+__all__ = ["GraphStore", "trim_lru"]
 
 logger = logging.getLogger("repro.service.store")
 
@@ -57,6 +59,18 @@ logger = logging.getLogger("repro.service.store")
 #: prepare-relevant configuration knobs (everything else — backend,
 #: workers, budgets — is execute-side and shares the artifact).
 _PreparedKey = Tuple[str, int, str, bool, bool]
+
+
+def trim_lru(cache: "OrderedDict", cap: Optional[int]) -> int:
+    """Evict ``cache``'s least-recently-used entries beyond ``cap``; return how many.
+
+    ``cache`` keeps recency order with the oldest entry first (touch with
+    ``move_to_end``); ``cap=None`` means unbounded.
+    """
+    excess = 0 if cap is None else max(0, len(cache) - cap)
+    for _ in range(excess):
+        cache.popitem(last=False)
+    return excess
 
 
 class GraphStore:
@@ -132,10 +146,7 @@ class GraphStore:
                         continue
                     self._prepared[key] = artifact
                     self._restored_prepared += 1
-                    if self.max_prepared is not None:
-                        while len(self._prepared) > self.max_prepared:
-                            self._prepared.popitem(last=False)
-                            self._prepared_evictions += 1
+                    self._prepared_evictions += trim_lru(self._prepared, self.max_prepared)
                 self._restore_deltas_locked(persistence)
         except Exception:
             logger.warning("restoring store state failed; continuing with what loaded",
@@ -388,7 +399,8 @@ class GraphStore:
         The first caller of a slot runs :func:`prepare_instance`; concurrent
         callers of the same slot wait on that computation instead of
         repeating it, and later callers get the cached artifact immediately.
-        A failed preparation is not cached — the next request retries.
+        A failed preparation is not cached — the next request retries — and
+        neither is one whose graph was evicted while it was being built.
         """
         if config is None:
             config = SolverConfig()
@@ -420,13 +432,13 @@ class GraphStore:
             inflight.set_exception(exc)
             raise
         with self._lock:
-            self._prepared[key] = artifact
             self._prepares += 1
             del self._inflight[key]
-            if self.max_prepared is not None:
-                while len(self._prepared) > self.max_prepared:
-                    self._prepared.popitem(last=False)
-                    self._prepared_evictions += 1
+            # Caching the artifact of a graph evicted meanwhile would leak it;
+            # the waiters still receive it through the in-flight future.
+            if digest in self._graphs:
+                self._prepared[key] = artifact
+                self._prepared_evictions += trim_lru(self._prepared, self.max_prepared)
         inflight.set_result(artifact)
         if self._persistence is not None:
             try:

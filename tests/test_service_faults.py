@@ -269,6 +269,28 @@ class TestAdmissionControl:
         assert stats["prepared_evictions"] == 1
 
 
+    def test_graph_evicted_mid_prepare_leaves_no_artifact(self, graph):
+        """An artifact whose graph was evicted while it was built is not cached."""
+        from repro.service import GraphStore
+
+        store = GraphStore(max_graphs=1)
+        first = store.add(graph)
+        answers = []
+        with FaultInjector().add("store.prepare", delay=0.5, times=1) as inj:
+            worker = threading.Thread(target=lambda: answers.append(store.prepared(first, 1)))
+            worker.start()
+            deadline = time.monotonic() + 5.0
+            while not inj.fired and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert inj.fired, "prepare never started"
+            store.add(gnp_random_graph(12, 0.4, seed=1))  # evicts the first graph
+            worker.join(timeout=10)
+        assert answers, "the prepare caller must still get its artifact"
+        assert first not in store
+        stats = store.stats()
+        assert stats["prepared_artifacts"] == 0
+        assert stats["prepares"] == 1
+
 class TestGracefulDrain:
     def test_drain_answers_running_and_cancels_queued(self, graph):
         """Bounded drain: running work answers partially, queued work fails typed."""
