@@ -3,17 +3,19 @@
 The baselines (MADEC+-style and KDBB-style) are *separate algorithms* from
 kDC — different bounds, different branching, no RR2/BR — but they share the
 mechanics of a maximisation branch-and-bound over :class:`SearchState`
-instances.  This module provides that scaffolding; each baseline subclass
-plugs in its own reduction, bounding and branching policies.
+instances: the search itself is :func:`repro.core.branching.branch_and_bound`,
+the driver kDC's ``set`` reference runs on.  This module provides the solve
+scaffolding around it; each baseline subclass plugs in its own reduction,
+bounding and branching policies.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from abc import ABC, abstractmethod
 from typing import List, Optional
 
+from ..core.branching import branch_and_bound
 from ..core.defective import validate_k
 from ..core.instance import SearchState
 from ..core.result import SearchStats, SolveResult
@@ -21,8 +23,6 @@ from ..exceptions import BudgetExceededError
 from ..graphs.graph import Graph
 
 __all__ = ["BaselineBranchAndBound"]
-
-_RECURSION_MARGIN = 256
 
 
 class BaselineBranchAndBound(ABC):
@@ -105,17 +105,14 @@ class BaselineBranchAndBound(ABC):
             for v in working:
                 adj[v] = set(working.neighbors(v))
             state = SearchState.initial(adj, k, vertices=working.vertex_set())
-            depth_needed = len(state.candidates) + _RECURSION_MARGIN
-            old_limit = sys.getrecursionlimit()
-            if old_limit < depth_needed:
-                sys.setrecursionlimit(depth_needed)
             try:
-                self._branch(state, depth=1)
+                branch_and_bound(
+                    state, self._best, stats, self._check_budget, self._reduce,
+                    lambda state, lb: self._upper_bound(state) <= lb,
+                    self._select_branching_vertex,
+                )
             except BudgetExceededError:
                 optimal = False
-            finally:
-                if sys.getrecursionlimit() != old_limit:
-                    sys.setrecursionlimit(old_limit)
 
         stats.elapsed_seconds = time.perf_counter() - start
         labels = [to_label[v] for v in self._best]
@@ -140,41 +137,3 @@ class BaselineBranchAndBound(ABC):
             raise BudgetExceededError("time limit exceeded")
         if self.node_limit is not None and self._stats.nodes >= self.node_limit:
             raise BudgetExceededError("node limit exceeded")
-
-    def _record(self, vertices: List[int]) -> None:
-        if len(vertices) > len(self._best):
-            self._best = list(vertices)
-            self._stats.improvements += 1
-
-    def _branch(self, state: SearchState, depth: int) -> None:
-        self._check_budget()
-        stats = self._stats
-        stats.nodes += 1
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-
-        if self._reduce(state, len(self._best)):
-            return
-
-        if state.is_defective_clique():
-            stats.leaves += 1
-            self._record(state.graph_vertices())
-            return
-
-        ub = self._upper_bound(state)
-        if ub <= len(self._best):
-            stats.prunes_by_bound += 1
-            return
-
-        self._record(state.solution)
-
-        vertex = self._select_branching_vertex(state)
-        if vertex is None:
-            return
-
-        left = state.copy()
-        left.add_to_solution(vertex)
-        self._branch(left, depth + 1)
-
-        state.remove_candidate(vertex)
-        self._branch(state, depth + 1)

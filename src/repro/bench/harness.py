@@ -58,7 +58,7 @@ def make_solver(
     the baseline reimplementations.
 
     ``backend`` overrides the search-state backend of the kDC variants
-    (``"auto"``, ``"set"`` or ``"bitset"``) and ``workers`` the number of
+    (``"bitset"`` or ``"set"``) and ``workers`` the number of
     decomposition worker processes; the baselines have a single
     implementation and reject both.
     """
@@ -184,8 +184,9 @@ def run_instance(
 
     ``backend`` optionally forces the kDC search-state backend and
     ``workers`` the decomposition worker-process count; what actually ran
-    (backend resolved from ``"auto"``, workers actually used by the
-    decomposition) is recorded on the returned record.
+    (``"set"`` when a huge undecomposable instance falls back from bitset,
+    workers actually used by the decomposition) is recorded on the
+    returned record.
     """
     solver = make_solver(
         algorithm, time_limit=time_limit, backend=backend, workers=workers

@@ -3,11 +3,12 @@
 Sub-commands
 ------------
 * ``solve``       — find a maximum k-defective clique of a graph file
-  (``--backend set|bitset|auto`` selects the search-state backend; the
-  bitset backend adds a degeneracy decomposition on large instances,
-  ``--workers N`` runs the decomposition's ego subproblems across N
-  processes with no change to the optimal size returned, and ``--stats``
-  dumps the full search counters);
+  (``--backend bitset|set`` selects the search-state backend: the default
+  bitset backend adds a degeneracy decomposition on large instances, set
+  is the paper-faithful reference; ``--workers N`` runs the
+  decomposition's ego subproblems across N processes with no change to
+  the optimal size returned, and ``--stats`` dumps the full search
+  counters);
 * ``compare``     — run several algorithms on one graph and tabulate them;
 * ``top-r``       — top-r maximal or diversified k-defective cliques;
 * ``properties``  — Tables 5–7 style analysis of one graph;
@@ -82,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=list(BACKEND_NAMES),
-        help="search-state backend for the kDC variants: 'set' (dict/set states), "
-        "'bitset' (packed adjacency bitmaps + degeneracy decomposition on large "
-        "instances), or 'auto' (pick by reduced instance size; the default)",
+        help="search-state backend for the kDC variants: 'bitset' (packed adjacency "
+        "bitmaps + degeneracy decomposition on large instances; the default) or "
+        "'set' (dict/set states, the paper-faithful reference)",
     )
     solve.add_argument(
         "--workers",
@@ -271,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        default="auto",
+        default="bitset",
         choices=list(BACKEND_NAMES),
-        help="search-state backend answering queries (default auto)",
+        help="search-state backend answering queries (default bitset)",
     )
     serve.add_argument(
         "--workers",

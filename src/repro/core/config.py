@@ -19,7 +19,7 @@ from ..exceptions import InvalidParameterError
 __all__ = ["SolverConfig", "variant_config", "VARIANT_NAMES", "BACKEND_NAMES"]
 
 #: Search-state backends accepted by :attr:`SolverConfig.backend`.
-BACKEND_NAMES = ("auto", "set", "bitset")
+BACKEND_NAMES = ("set", "bitset")
 
 #: The solver variants evaluated in the paper's experiments.
 VARIANT_NAMES = (
@@ -58,10 +58,11 @@ class SolverConfig:
     use_rr6: bool = True
     #: initial solution heuristic: "degen-opt" (Algorithm 4), "degen" (Algorithm 3), or "none"
     initial_heuristic: str = "degen-opt"
-    #: search-state backend: "set" (dict/set SearchState), "bitset" (packed
-    #: adjacency bitmaps, see :mod:`repro.core.fastpath`), or "auto" (pick by
-    #: instance size after preprocessing)
-    backend: str = "auto"
+    #: search-state backend: "bitset" (packed adjacency bitmaps, see
+    #: :mod:`repro.core.fastpath`; the production route) or "set" (the
+    #: dict/set SearchState reference, also the out-of-memory fallback for
+    #: huge instances that cannot decompose)
+    backend: str = "bitset"
     #: minimum number of (reduced) vertices before the bitset backend switches
     #: from one whole-graph search to the degeneracy decomposition of
     #: :mod:`repro.core.decompose`

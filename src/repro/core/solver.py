@@ -15,25 +15,18 @@ set is a maximum k-defective clique and ``result.optimal`` is ``True``.
 
 Backends
 --------
-Two interchangeable search-state backends implement the branch-and-bound:
-
-* ``"set"`` — the original dict/set :class:`~repro.core.instance.SearchState`;
-* ``"bitset"`` — packed adjacency bitmaps
-  (:class:`~repro.core.bitset_state.BitsetSearchState` driven by
-  :class:`~repro.core.fastpath.BitsetEngine`).  On instances with at least
-  ``SolverConfig.decompose_threshold`` vertices after preprocessing (and a
-  heuristic lower bound of at least ``k + 1``), the bitset backend further
-  switches to the degeneracy decomposition of :mod:`repro.core.decompose`,
-  which solves one small ego subproblem per vertex while threading the shared
-  incumbent through as the lower bound.  With ``SolverConfig.workers >= 2``
-  those ego subproblems run across a :mod:`multiprocessing` pool
-  (:mod:`repro.core.parallel`) broadcasting the best size through shared
-  memory; the optimal size returned is identical for every worker count.
-
-``SolverConfig.backend`` selects between them; the default ``"auto"`` uses
-the bitset backend whenever the reduced instance has at least
-:data:`_AUTO_BITSET_MIN_VERTICES` vertices.  Both backends return identical
-optimal sizes; the bitset path is simply much faster on non-toy inputs.
+``SolverConfig.backend`` selects the search state.  ``"bitset"`` (the
+default and the production route) packs adjacency into bitmaps searched by
+:class:`~repro.core.fastpath.BitsetEngine`; with at least
+``decompose_threshold`` working vertices and an incumbent of ``k + 1`` it
+splits the instance into degeneracy ego subproblems
+(:mod:`repro.core.decompose`), across a worker pool when ``workers >= 2``
+(:mod:`repro.core.parallel`).  ``"set"`` is the paper-faithful reference:
+dict/set :class:`~repro.core.instance.SearchState` on
+:func:`~repro.core.branching.branch_and_bound`, the driver the baselines
+share.  A bitset solve falls back to it only when the instance cannot
+decompose and exceeds :data:`_BITSET_WHOLE_GRAPH_MAX_VERTICES`.  Both
+return identical optimal sizes.
 
 Budgets (``time_limit`` / ``node_limit``) are enforced during *all* phases:
 the initial heuristic, the RR5/RR6 preprocessing, and the search itself
@@ -54,7 +47,6 @@ solve corrupting another.
 from __future__ import annotations
 
 import dataclasses
-import sys
 import threading
 import time
 from typing import TYPE_CHECKING, List, Optional, Sequence
@@ -65,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..exceptions import BudgetExceededError, InvalidParameterError
 from ..graphs.graph import Graph, Vertex
 from .bounds import ub1_improved_coloring, ub2_min_degree, ub3_degree_sequence
-from .branching import select_branching_vertex
+from .branching import branch_and_bound, select_branching_vertex
 from .config import SolverConfig, variant_config
 from .decompose import solve_decomposed
 from .defective import validate_k
@@ -78,36 +70,11 @@ from .result import SearchStats, SolveResult
 
 __all__ = ["KDCSolver", "find_maximum_defective_clique", "maximum_defective_clique_size"]
 
-#: Recursion depth head-room added on top of the candidate-set size.
-_RECURSION_MARGIN = 256
-
-#: Smallest reduced-instance size for which ``backend="auto"`` picks the
-#: bitset backend; below this the set backend's lower setup cost wins.
-_AUTO_BITSET_MIN_VERTICES = 32
-
 #: Largest instance the *whole-graph* bitset search will accept: n adjacency
 #: rows of n bits is O(n²/8) bytes, so when the degeneracy decomposition
 #: cannot engage (incumbent < k + 1) bigger instances fall back to the
 #: O(n + m) set backend instead of risking an out-of-memory abort.
 _BITSET_WHOLE_GRAPH_MAX_VERTICES = 20_000
-
-#: Serialises recursion-limit raises so concurrent set-backend solves never
-#: observe a limit below what they asked for.
-_RECURSION_LIMIT_LOCK = threading.Lock()
-
-
-def _ensure_recursion_limit(depth_needed: int) -> None:
-    """Raise the interpreter recursion limit to at least ``depth_needed``.
-
-    The limit is only ever *increased* and never restored: a save/restore
-    would race between concurrent solves (one thread restoring a small limit
-    while another is still deep in recursion), whereas a monotone raise is
-    safe — the limit is a guard against runaway recursion, and a deliberate
-    deep search on this thread justifies keeping it for the process.
-    """
-    with _RECURSION_LIMIT_LOCK:
-        if sys.getrecursionlimit() < depth_needed:
-            sys.setrecursionlimit(depth_needed)
 
 
 class _SolveRun:
@@ -225,28 +192,22 @@ class _SolveRun:
             return labels
 
     # ------------------------------------------------------------------ #
-    def _resolve_backend(self, prepared: PreparedInstance, k: int) -> str:
-        """Map ``config.backend`` to the concrete backend used for this instance.
+    def _decomposes(self, prepared: PreparedInstance, k: int) -> bool:
+        """Whether a bitset solve splits into ego subproblems (the
+        diameter-2 argument of :mod:`repro.core.decompose` needs lb >= k + 1)."""
+        return prepared.working_n >= self.config.decompose_threshold and len(self.best) >= k + 1
 
-        The bitset backend's whole-graph mode allocates O(n²/8) bytes of
-        adjacency rows, so when the decomposition cannot engage (no usable
-        incumbent) very large instances are routed to the O(n + m) set
-        backend even under ``backend="bitset"`` — running slower beats dying
-        on memory, and the decomposition handles every realistically large
-        input that has a heuristic lower bound.
-        """
-        config = self.config
-        working_n = prepared.working_n
-        backend = config.backend
-        if backend == "auto":
-            backend = "bitset" if working_n >= _AUTO_BITSET_MIN_VERTICES else "set"
-        if backend == "bitset":
-            decomposable = (
-                working_n >= config.decompose_threshold and len(self.best) >= k + 1
-            )
-            if not decomposable and working_n > _BITSET_WHOLE_GRAPH_MAX_VERTICES:
-                return "set"
-        return backend
+    def _resolve_backend(self, prepared: PreparedInstance, k: int) -> str:
+        """``config.backend``, except that a bitset solve too large for
+        whole-graph rows and unable to decompose runs on ``set``: slower
+        beats running out of memory."""
+        if (
+            self.config.backend == "bitset"
+            and prepared.working_n > _BITSET_WHOLE_GRAPH_MAX_VERTICES
+            and not self._decomposes(prepared, k)
+        ):
+            return "set"
+        return self.config.backend
 
     def _solve_set(self, prepared: PreparedInstance, k: int) -> None:
         """Branch-and-bound over the dict/set :class:`SearchState` backend."""
@@ -254,8 +215,22 @@ class _SolveRun:
         for v, nbrs in prepared.working_adj.items():
             adj[v] = set(nbrs)
         state = SearchState.initial(adj, k, vertices=set(prepared.working_adj))
-        _ensure_recursion_limit(len(state.candidates) + _RECURSION_MARGIN)
-        self._branch(state, depth=1)
+        config = self.config
+        stats = self.stats
+
+        def bound_prunes(state: SearchState, incumbent: int) -> bool:
+            # Cheapest bound first; evaluation stops at the first that prunes.
+            return (
+                (config.use_ub2 and ub2_min_degree(state) <= incumbent)
+                or (config.use_ub3 and ub3_degree_sequence(state) <= incumbent)
+                or (config.use_ub1 and ub1_improved_coloring(state) <= incumbent)
+            )
+
+        branch_and_bound(
+            state, self.best, stats, self._check_budget,
+            lambda state, lb: apply_reductions(state, config, lower_bound=lb, stats=stats),
+            bound_prunes, select_branching_vertex,
+        )
 
     def _solve_bitset(self, prepared: PreparedInstance, k: int) -> None:
         """Branch-and-bound over packed adjacency bitmaps (optionally decomposed).
@@ -269,7 +244,7 @@ class _SolveRun:
         :class:`~repro.core.fastpath.BitsetEngine`.
         """
         config = self.config
-        if prepared.working_n >= config.decompose_threshold and len(self.best) >= k + 1:
+        if self._decomposes(prepared, k):
             if config.workers >= 2:
                 deadline = None
                 if self.deadline is not None:
@@ -301,68 +276,6 @@ class _SolveRun:
             raise BudgetExceededError("time limit exceeded")
         if self.node_limit is not None and self.stats.nodes >= self.node_limit:
             raise BudgetExceededError("node limit exceeded")
-
-    def _record_solution(self, vertices: List[int]) -> None:
-        if len(vertices) > len(self.best):
-            self.best = list(vertices)
-            self.stats.improvements += 1
-
-    def _branch(self, state: SearchState, depth: int) -> None:
-        """Procedure Branch&Bound of Algorithms 1/2."""
-        self._check_budget()
-        stats = self.stats
-        stats.nodes += 1
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-        config = self.config
-
-        # Line 4: reduction rules.
-        prune = apply_reductions(state, config, lower_bound=len(self.best), stats=stats)
-        if prune:
-            return
-
-        # Line 5: if the whole instance graph is a k-defective clique, record it.
-        if state.is_defective_clique():
-            stats.leaves += 1
-            self._record_solution(state.graph_vertices())
-            return
-
-        # Upper-bound pruning (Algorithm 2 only; a no-op for kDC-t).  The
-        # bounds are evaluated cheapest-first and evaluation stops as soon as
-        # one of them prunes the instance; this changes nothing about which
-        # instances survive, only how much work is spent deciding it.  UB1
-        # is the only coloring-based bound evaluated here, so it colours the
-        # candidates itself (callers evaluating UB1 alongside eq2 share one
-        # coloring through best_upper_bound's classes parameter instead).
-        if config.use_ub1 or config.use_ub2 or config.use_ub3:
-            incumbent = len(self.best)
-            pruned = (
-                (config.use_ub2 and ub2_min_degree(state) <= incumbent)
-                or (config.use_ub3 and ub3_degree_sequence(state) <= incumbent)
-                or (config.use_ub1 and ub1_improved_coloring(state) <= incumbent)
-            )
-            if pruned:
-                stats.prunes_by_bound += 1
-                return
-
-        # Even when not a leaf, the partial solution S itself is a valid
-        # k-defective clique and may beat the incumbent.
-        self._record_solution(state.solution)
-
-        # Line 6: branching vertex via rule BR.
-        branching_vertex = select_branching_vertex(state)
-        if branching_vertex is None:
-            return
-
-        # Line 7: left branch includes the branching vertex.
-        left = state.copy()
-        left.add_to_solution(branching_vertex)
-        self._branch(left, depth + 1)
-
-        # Line 8: right branch excludes it.  The current state is not needed
-        # afterwards, so it is mutated in place instead of copied.
-        state.remove_candidate(branching_vertex)
-        self._branch(state, depth + 1)
 
 
 class KDCSolver:

@@ -277,8 +277,9 @@ class SolverService:
             return
         kept: "OrderedDict[_ResultKey, SolveResult]" = OrderedDict()
         for key, result in entries:
-            # Keys of another shape come from an older journal format.
-            if len(key) != 4 or not result.optimal:
+            # Keys of another shape come from an older journal format; keys
+            # of another backend can never hit on this service.
+            if len(key) != 4 or key[3] != self.config.backend or not result.optimal:
                 continue
             kept[key] = result
             kept.move_to_end(key)

@@ -22,10 +22,10 @@ from repro.graphs.degeneracy import degeneracy_ordering
 
 class TestConfig:
     def test_backend_names(self):
-        assert set(BACKEND_NAMES) == {"auto", "set", "bitset"}
+        assert set(BACKEND_NAMES) == {"set", "bitset"}
 
-    def test_default_backend_is_auto(self):
-        assert SolverConfig().backend == "auto"
+    def test_default_backend_is_bitset(self):
+        assert SolverConfig().backend == "bitset"
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -53,14 +53,9 @@ class TestDispatch:
             assert set_result.stats.backend == "set"
             assert bit_result.stats.backend == "bitset"
 
-    def test_auto_uses_bitset_on_large_instances(self):
-        g = gnp_random_graph(120, 0.2, seed=2)
-        result = KDCSolver(SolverConfig(backend="auto")).solve(g, 2)
+    def test_default_config_uses_bitset_on_tiny_instances(self):
+        result = KDCSolver(SolverConfig()).solve(complete_graph(6), 1)
         assert result.stats.backend == "bitset"
-
-    def test_auto_uses_set_on_tiny_instances(self):
-        result = KDCSolver(SolverConfig(backend="auto")).solve(complete_graph(6), 1)
-        assert result.stats.backend == "set"
 
     def test_planted_clique_recovered_by_bitset(self):
         g = planted_defective_clique_graph(90, 12, 3, background_p=0.05, seed=3)

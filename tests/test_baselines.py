@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.baselines import (
@@ -124,3 +126,39 @@ class TestKDBBAndMADEC:
         kdc_nodes = find_maximum_defective_clique(g, k).stats.nodes
         madec_nodes = MADECSolver().solve(g, k).stats.nodes
         assert kdc_nodes <= madec_nodes
+
+
+class TestRecursionLimit:
+    """A solve never lowers the interpreter recursion limit on its way out.
+
+    Another solve may raise the limit while this one runs because it is
+    itself deep in recursion; restoring the value saved at the start would
+    pull the limit out from under it.
+    """
+
+    @pytest.fixture
+    def limit_1000(self):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(saved)
+
+    def test_kdbb_keeps_a_limit_raised_during_the_solve(self, limit_1000):
+        class RaisingKDBB(KDBBSolver):
+            def _reduce(self, state, lower_bound):
+                sys.setrecursionlimit(6000)
+                return super()._reduce(state, lower_bound)
+
+        result = RaisingKDBB().solve(gnp_random_graph(30, 0.3, seed=1), 2)
+        assert result.optimal
+        assert sys.getrecursionlimit() == 6000
+
+    def test_max_clique_keeps_a_limit_raised_during_the_solve(self, limit_1000):
+        class RaisingMaxClique(MaxCliqueSolver):
+            def _check_budget(self):
+                sys.setrecursionlimit(6000)
+                super()._check_budget()
+
+        result = RaisingMaxClique().solve(gnp_random_graph(30, 0.3, seed=1))
+        assert result.optimal
+        assert sys.getrecursionlimit() == 6000

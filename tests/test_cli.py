@@ -81,6 +81,11 @@ class TestParser:
         assert args.host == "127.0.0.1"
         assert args.preload == []
 
+    def test_serve_defaults_to_bitset_and_rejects_auto(self):
+        assert build_parser().parse_args(["serve"]).backend == "bitset"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--backend", "auto"])
+
 
 class TestCommands:
     def test_solve(self, clique_file, capsys):

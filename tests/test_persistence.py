@@ -370,6 +370,19 @@ class TestServiceWarmRestart:
         entries = ServicePersistence(state_dir).replay_results()
         assert [key for key, _ in entries] == [(digest, K, "kDC", "bitset")]
 
+    def test_result_of_another_backend_dropped_on_restart(self, state_dir, graph):
+        with SolverService(config=CONFIG, persistence=ServicePersistence(state_dir)) as service:
+            digest = service.store.add(graph)
+            cold = service.solve(digest, K)
+        persistence = ServicePersistence(state_dir)
+        persistence.rewrite_results([((digest, K, "kDC", "set"), cold)])
+        persistence.close()
+
+        with SolverService(config=CONFIG, persistence=ServicePersistence(state_dir)) as warm:
+            assert warm.stats()["restored_results"] == 0
+        # The unreachable record was compacted away.
+        assert ServicePersistence(state_dir).replay_results() == []
+
     def test_non_optimal_results_never_restored(self, state_dir):
         hard = gnp_random_graph(80, 0.4, seed=11)
         with SolverService(config=CONFIG, persistence=ServicePersistence(state_dir)) as service:

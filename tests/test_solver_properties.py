@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +15,13 @@ from repro.baselines import (
     brute_force_maximum_defective_clique,
 )
 from repro.core import (
+    BACKEND_NAMES,
     KDCSolver,
     SolverConfig,
     find_maximum_defective_clique,
     is_k_defective_clique,
     is_maximal_k_defective_clique,
+    variant_config,
 )
 from repro.graphs import Graph, gnp_random_graph
 
@@ -31,21 +36,24 @@ def graphs(max_vertices: int = 11):
     )
 
 
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 @given(graphs(), st.integers(min_value=0, max_value=4))
 @settings(max_examples=50, deadline=None)
-def test_kdc_matches_brute_force(g, k):
+def test_kdc_matches_brute_force(backend, g, k):
     expected = len(brute_force_maximum_defective_clique(g, k))
-    result = find_maximum_defective_clique(g, k)
+    result = find_maximum_defective_clique(g, k, config=SolverConfig(backend=backend))
     assert result.size == expected
     assert is_k_defective_clique(g, result.clique, k)
     assert is_maximal_k_defective_clique(g, result.clique, k)
 
 
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 @given(graphs(), st.integers(min_value=0, max_value=4))
 @settings(max_examples=30, deadline=None)
-def test_kdc_t_matches_brute_force(g, k):
+def test_kdc_t_matches_brute_force(backend, g, k):
     expected = len(brute_force_maximum_defective_clique(g, k))
-    result = find_maximum_defective_clique(g, k, variant="kDC-t")
+    config = replace(variant_config("kDC-t"), backend=backend)
+    result = find_maximum_defective_clique(g, k, config=config)
     assert result.size == expected
 
 
