@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,25 +35,25 @@ def graphs(max_vertices: int = 11):
     )
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
 @given(graphs(), st.integers(min_value=0, max_value=4))
 @settings(max_examples=50, deadline=None)
-def test_kdc_matches_brute_force(backend, g, k):
+def test_kdc_matches_brute_force(g, k):
     expected = len(brute_force_maximum_defective_clique(g, k))
-    result = find_maximum_defective_clique(g, k, config=SolverConfig(backend=backend))
-    assert result.size == expected
-    assert is_k_defective_clique(g, result.clique, k)
-    assert is_maximal_k_defective_clique(g, result.clique, k)
+    for backend in BACKEND_NAMES:
+        result = find_maximum_defective_clique(g, k, config=SolverConfig(backend=backend))
+        assert result.size == expected, backend
+        assert is_k_defective_clique(g, result.clique, k)
+        assert is_maximal_k_defective_clique(g, result.clique, k)
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
 @given(graphs(), st.integers(min_value=0, max_value=4))
 @settings(max_examples=30, deadline=None)
-def test_kdc_t_matches_brute_force(backend, g, k):
+def test_kdc_t_matches_brute_force(g, k):
     expected = len(brute_force_maximum_defective_clique(g, k))
-    config = replace(variant_config("kDC-t"), backend=backend)
-    result = find_maximum_defective_clique(g, k, config=config)
-    assert result.size == expected
+    for backend in BACKEND_NAMES:
+        config = replace(variant_config("kDC-t"), backend=backend)
+        result = find_maximum_defective_clique(g, k, config=config)
+        assert result.size == expected, backend
 
 
 @given(graphs(), st.integers(min_value=0, max_value=3))
